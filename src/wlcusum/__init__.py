@@ -62,7 +62,6 @@ from .epidata import (
     load_case_csv,
     to_fraction_series,
     fit_beta_prechange,
-    h_function,
     fit_wave_shape,
     monitor,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "load_case_csv",
     "to_fraction_series",
     "fit_beta_prechange",
-    "h_function",
     "fit_wave_shape",
     "monitor",
     "__version__",

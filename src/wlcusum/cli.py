@@ -153,21 +153,25 @@ def _grid_counts(args, dim: int):
     return counts
 
 
+def _glr_setup(args, model, alpha):
+    """Theta grid and GLR threshold inputs for wl-glr runs, (None, None) otherwise."""
+    if args.detector != "wl-glr":
+        return None, None
+    box = _theta_box_array(args, model)
+    # a one-row box is a scalar parameter: its grid points must be floats, not 1-tuples
+    grid = theta_grid(box[0] if len(box) == 1 else box, _grid_counts(args, len(box)))
+    glr_inputs = GlrThresholdInputs(
+        alpha=alpha,
+        theta_volume=float(np.prod(box[:, 1] - box[:, 0])),
+        dim=len(box),
+        epsilon=args.epsilon if args.epsilon is not None else 1.0,
+    )
+    return grid, glr_inputs
+
+
 def _resolve_run_setup(args, model):
     """Threshold, window, and grid for the simulate/estimate subcommands."""
-    grid = None
-    glr_inputs = None
-    if args.detector == "wl-glr":
-        box = _theta_box_array(args, model)
-        grid = theta_grid(box, _grid_counts(args, box.shape[0]))
-        volume = float(np.prod(box[:, 1] - box[:, 0]))
-        epsilon = args.epsilon if args.epsilon is not None else 1.0
-        glr_inputs = GlrThresholdInputs(
-            alpha=args.alpha if args.alpha is not None else 0.5,
-            theta_volume=volume,
-            dim=box.shape[0],
-            epsilon=epsilon,
-        )
+    grid, glr_inputs = _glr_setup(args, model, args.alpha if args.alpha is not None else 0.5)
 
     if args.threshold is not None:
         b = float(args.threshold)
@@ -185,7 +189,7 @@ def _resolve_run_setup(args, model):
             )
         alpha_eff = args.alpha if args.alpha is not None else math.exp(-b)
         window = window_size(GrowthCurve(model), alpha_eff, args.safety)
-    return b, window, grid, glr_inputs
+    return b, window, grid
 
 
 def _write_json(path: Path, payload, written: list) -> None:
@@ -255,16 +259,7 @@ def _cmd_calibrate(args, out_dir, written):
 
 def _cmd_simulate_oc(args, out_dir, written):
     model = _build_model_from_args(args)
-    grid = None
-    glr_inputs = None
-    if args.detector == "wl-glr":
-        box = _theta_box_array(args, model)
-        grid = theta_grid(box, _grid_counts(args, box.shape[0]))
-        volume = float(np.prod(box[:, 1] - box[:, 0]))
-        epsilon = args.epsilon if args.epsilon is not None else 1.0
-        glr_inputs = GlrThresholdInputs(
-            alpha=args.alphas[0], theta_volume=volume, dim=box.shape[0], epsilon=epsilon
-        )
+    grid, glr_inputs = _glr_setup(args, model, args.alphas[0])
     template = TrialPlan(
         model=model,
         detector=args.detector,
@@ -298,7 +293,7 @@ def _cmd_simulate_oc(args, out_dir, written):
 
 def _cmd_simulate_qq(args, out_dir, written):
     model = _build_model_from_args(args)
-    b, window, grid, _ = _resolve_run_setup(args, model)
+    b, window, grid = _resolve_run_setup(args, model)
     plan = TrialPlan(
         model=model,
         detector=args.detector,
@@ -336,7 +331,7 @@ def _cmd_simulate_qq(args, out_dir, written):
 
 def _cmd_estimate_mtfa(args, out_dir, written):
     model = _build_model_from_args(args)
-    b, window, grid, _ = _resolve_run_setup(args, model)
+    b, window, grid = _resolve_run_setup(args, model)
     alpha_eff = args.alpha if args.alpha is not None else math.exp(-b)
     if alpha_eff < _MTFA_ALPHA_FLOOR and not args.force:
         raise ValueError(
@@ -366,7 +361,7 @@ def _cmd_estimate_mtfa(args, out_dir, written):
 
 def _cmd_estimate_add(args, out_dir, written):
     model = _build_model_from_args(args)
-    b, window, grid, _ = _resolve_run_setup(args, model)
+    b, window, grid = _resolve_run_setup(args, model)
     plan = TrialPlan(
         model=model,
         detector=args.detector,

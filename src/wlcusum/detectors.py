@@ -1,16 +1,21 @@
-"""Sequential detectors built on banks of change-point hypotheses.
+"""Sequential detectors built on one lag-ordered bank of change-point hypotheses.
 
 Every detector keeps one cumulative log-likelihood-ratio sum lambda_{n,k} per
-hypothesized change point k and alarms when a max over the bank crosses its
-threshold. Internally the banks are stored in lag order (entry 0 is the newest
-hypothesis k = n), because all implemented models have LLR coefficients that
-depend on (n, k) only through the lag n - k; one vectorized multiply-add per
-step updates the whole bank.
+hypothesized change point k. All implemented models have LLR coefficients that
+depend on (n, k) only through the lag n - k, so the sums are stored in lag
+order (entry 0 is the newest hypothesis k = n) and one vectorized multiply-add
+per step updates the whole bank. ``_LagBank`` owns that array, its window, the
+coefficient tables from ``llr_terms``, the step counter and the update; each
+detector is the bank plus a reduction:
 
-The window-limited variants evict hypotheses older than the window, capping
-per-step work; the full-history variant is the exact reference and is the one
-whose statistic cannot be simplified into a one-number recursion once the
-post-change family drifts with the lag.
+- ``WlCusum``: the bank windowed to the newest m + 1 hypotheses, reduced by
+  the max, so per-step work is capped at O(m);
+- ``FullCusum``: the same bank with no window, the exact O(n) reference whose
+  statistic cannot be simplified into a one-number recursion once the
+  post-change family drifts with the lag;
+- ``WlGlr``: a windowed (m + 1, G) bank with one column per theta grid point,
+  reduced by the max over lags and grid points;
+- ``SrStatistic``: the full bank reduced by log-sum-exp (Shiryaev-Roberts).
 
 Detectors remain steppable after an alarm: the alarm flag is reported per
 step, and monitoring code decides whether to stop.
@@ -81,7 +86,66 @@ def _bank_argmax(lam: np.ndarray, n: int) -> tuple[float, int]:
     return best, n - i
 
 
-class WlCusum:
+class _LagBank:
+    """Lag-ordered LLR sums: entry i on the first axis is hypothesis k = time - i.
+
+    The bank is 1-D for a single model, or (L, G) with one column per theta
+    of ``grid`` (each built by overriding the model's theta). With
+    window=None it keeps every hypothesis since the last reset and doubles its
+    coefficient tables as the history outgrows them; otherwise hypotheses
+    older than the window are evicted, so L <= window + 1.
+    """
+
+    def __init__(self, model: ObservationModel, threshold: float, window: int | None, grid=None):
+        if window is not None and window < 0:
+            raise ValueError(f"window must be >= 0, got {window}")
+        self.model = model
+        self.threshold = float(threshold)
+        self.window = window
+        self._models = [model] if grid is None else [model.with_theta(t) for t in grid]
+        self._shape = () if grid is None else (len(self._models),)
+        self._cap = 64 if window is None else window + 1
+        self._load_terms()
+        self.reset()
+
+    def _load_terms(self):
+        lags = np.arange(self._cap)
+        slopes, intercepts = zip(*(m.llr_terms(lags) for m in self._models))
+        shape = (self._cap, *self._shape)
+        self._slopes = np.ascontiguousarray(np.transpose(slopes), dtype=float).reshape(shape)
+        self._intercepts = np.ascontiguousarray(np.transpose(intercepts), dtype=float).reshape(shape)
+
+    def reset(self):
+        self.time = 0
+        self.statistic = 0.0
+        self._lam = np.empty((0, *self._shape))
+
+    def _push(self, x: float) -> np.ndarray:
+        """Prepend the hypothesis k = n and add Z(x; lag) to every entry."""
+        s = self.model.sufficient_stat(x)  # raises off-support, state unchanged
+        keep = len(self._lam)
+        if keep == self._cap:
+            if self.window is not None:
+                keep -= 1  # evict the oldest hypothesis
+            else:
+                self._cap *= 2
+                self._load_terms()
+        count = keep + 1
+        lam = np.empty((count, *self._shape))
+        lam[0] = 0.0
+        lam[1:] = self._lam[:keep]
+        lam += self._slopes[:count] * s + self._intercepts[:count]
+        self._lam = lam
+        self.time += 1
+        return lam
+
+    def _output(self, statistic: float, k_star: int, theta_hat=None) -> DetectorOutput:
+        """Record this step's reduced statistic and report it against the threshold."""
+        self.statistic = statistic
+        return DetectorOutput(self.time, statistic, statistic >= self.threshold, k_star, theta_hat)
+
+
+class WlCusum(_LagBank):
     """Window-limited CuSum: max over hypotheses k in {max(1, n-m) .. n}.
 
     Per-step cost is O(window). With threshold b = |ln alpha| the mean time to
@@ -89,21 +153,7 @@ class WlCusum:
     """
 
     def __init__(self, model: ObservationModel, threshold: float, window: int):
-        window = int(window)
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
-        self.model = model
-        self.threshold = float(threshold)
-        self.window = window
-        slopes, intercepts = model.llr_terms(np.arange(window + 1))
-        self._slopes = np.asarray(slopes, dtype=float)
-        self._intercepts = np.asarray(intercepts, dtype=float)
-        self.reset()
-
-    def reset(self):
-        self.time = 0
-        self._lam = np.empty(0)
-        self.statistic = 0.0
+        super().__init__(model, threshold, int(window))
 
     def hypotheses(self) -> list[tuple[int, float]]:
         """Active (k, lambda_{n,k}) pairs, newest hypothesis first."""
@@ -111,25 +161,10 @@ class WlCusum:
         return [(n - lag, float(v)) for lag, v in enumerate(self._lam)]
 
     def step(self, x: float) -> DetectorOutput:
-        s = self.model.sufficient_stat(x)  # raises off-support, state unchanged
-        n = self.time + 1
-        keep = min(len(self._lam), self.window)
-        lam = np.empty(keep + 1)
-        lam[0] = 0.0
-        lam[1:] = self._lam[:keep]
-        lam += self._slopes[: keep + 1] * s + self._intercepts[: keep + 1]
-        self._lam = lam
-        self.time = n
-        self.statistic, k_star = _bank_argmax(lam, n)
-        return DetectorOutput(
-            time=n,
-            statistic=self.statistic,
-            alarm=self.statistic >= self.threshold,
-            k_star=k_star,
-        )
+        return self._output(*_bank_argmax(self._push(x), self.time))
 
 
-class FullCusum:
+class FullCusum(_LagBank):
     """Full-history CuSum: max over every hypothesis k in {1 .. n}.
 
     O(n) per step and O(n) memory; the exact reference the window-limited
@@ -137,47 +172,12 @@ class FullCusum:
     """
 
     def __init__(self, model: ObservationModel, threshold: float):
-        self.model = model
-        self.threshold = float(threshold)
-        self._cap = 64
-        slopes, intercepts = model.llr_terms(np.arange(self._cap))
-        self._slopes = np.asarray(slopes, dtype=float)
-        self._intercepts = np.asarray(intercepts, dtype=float)
-        self.reset()
+        super().__init__(model, threshold, None)
 
-    def reset(self):
-        self.time = 0
-        self._lam = np.empty(0)
-        self.statistic = 0.0
-
-    def hypotheses(self) -> list[tuple[int, float]]:
-        n = self.time
-        return [(n - lag, float(v)) for lag, v in enumerate(self._lam)]
-
-    def _ensure_capacity(self, n: int):
-        while self._cap < n:
-            self._cap *= 2
-            slopes, intercepts = self.model.llr_terms(np.arange(self._cap))
-            self._slopes = np.asarray(slopes, dtype=float)
-            self._intercepts = np.asarray(intercepts, dtype=float)
+    hypotheses = WlCusum.hypotheses
 
     def step(self, x: float) -> DetectorOutput:
-        s = self.model.sufficient_stat(x)
-        n = self.time + 1
-        self._ensure_capacity(n)
-        lam = np.empty(n)
-        lam[0] = 0.0
-        lam[1:] = self._lam
-        lam += self._slopes[:n] * s + self._intercepts[:n]
-        self._lam = lam
-        self.time = n
-        self.statistic, k_star = _bank_argmax(lam, n)
-        return DetectorOutput(
-            time=n,
-            statistic=self.statistic,
-            alarm=self.statistic >= self.threshold,
-            k_star=k_star,
-        )
+        return self._output(*_bank_argmax(self._push(x), self.time))
 
 
 def theta_grid(bounds, counts) -> np.ndarray:
@@ -214,18 +214,15 @@ def theta_grid(bounds, counts) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-class WlGlr:
+class WlGlr(_LagBank):
     """Window-limited GLR-CuSum: max over hypotheses and a grid of theta.
 
     The post-change parameter is unknown inside a box; each grid point gets its
-    own LLR bank (built by overriding the model's theta) and the statistic is
-    the max over grid points and hypotheses. Per-step cost O(window * grid).
+    own column of the LLR bank and the statistic is the max over grid points and
+    hypotheses. Per-step cost O(window * grid).
     """
 
     def __init__(self, model: ObservationModel, threshold: float, window: int, grid):
-        window = int(window)
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
         grid = np.asarray(grid, dtype=float)
         if grid.ndim == 1:
             points = [float(t) for t in grid]
@@ -235,54 +232,21 @@ class WlGlr:
             raise ValueError("grid must be a (G,) or (G, d) array of theta points")
         if not points:
             raise ValueError("grid must contain at least one theta point")
-        self.model = model
-        self.threshold = float(threshold)
-        self.window = window
         self.grid = points
-        lags = np.arange(window + 1)
-        slopes, intercepts = [], []
-        for t in points:
-            s, c = model.with_theta(t).llr_terms(lags)
-            slopes.append(s)
-            intercepts.append(c)
-        self._slopes = np.asarray(slopes, dtype=float)  # (G, window+1)
-        self._intercepts = np.asarray(intercepts, dtype=float)
-        self.reset()
-
-    def reset(self):
-        self.time = 0
-        self._lam = np.empty((len(self.grid), 0))
-        self.statistic = 0.0
+        super().__init__(model, threshold, int(window), points)
 
     def step(self, x: float) -> DetectorOutput:
-        s = self.model.sufficient_stat(x)
-        n = self.time + 1
-        keep = min(self._lam.shape[1], self.window)
-        count = keep + 1
-        lam = np.empty((len(self.grid), count))
-        lam[:, 0] = 0.0
-        lam[:, 1:] = self._lam[:, :keep]
-        lam += self._slopes[:, :count] * s + self._intercepts[:, :count]
-        self._lam = lam
-        self.time = n
-        per_lag = lam.max(axis=0)
-        self.statistic, k_star = _bank_argmax(per_lag, n)
-        if k_star == n + 1:
-            theta_hat = None
-        else:
-            col = lam[:, n - k_star]
-            # grid rows are lexicographically ordered; argmax takes the first
-            theta_hat = self.grid[int(np.argmax(col))]
-        return DetectorOutput(
-            time=n,
-            statistic=self.statistic,
-            alarm=self.statistic >= self.threshold,
-            k_star=k_star,
-            theta_hat=theta_hat,
-        )
+        lam = self._push(x)
+        n = self.time
+        statistic, k_star = _bank_argmax(lam.max(axis=1), n)
+        theta_hat = None
+        if k_star <= n:
+            # grid points are lexicographically ordered; argmax takes the first
+            theta_hat = self.grid[int(np.argmax(lam[n - k_star]))]
+        return self._output(statistic, k_star, theta_hat)
 
 
-class SrStatistic:
+class SrStatistic(_LagBank):
     """Shiryaev-Roberts statistic R_n = sum over k <= n of exp(lambda_{n,k}).
 
     Kept in the log domain so overflow cannot corrupt the accumulation.
@@ -292,17 +256,7 @@ class SrStatistic:
     """
 
     def __init__(self, model: ObservationModel, threshold: float = math.inf):
-        self.model = model
-        self.threshold = float(threshold)
-        self._cap = 64
-        slopes, intercepts = model.llr_terms(np.arange(self._cap))
-        self._slopes = np.asarray(slopes, dtype=float)
-        self._intercepts = np.asarray(intercepts, dtype=float)
-        self.reset()
-
-    def reset(self):
-        self.time = 0
-        self._lam = np.empty(0)
+        super().__init__(model, threshold, None)
 
     @property
     def log_value(self) -> float:
@@ -314,31 +268,9 @@ class SrStatistic:
     def value(self) -> float:
         return float(math.exp(min(self.log_value, 709.0)) if self.log_value < math.inf else math.inf)
 
-    def _ensure_capacity(self, n: int):
-        while self._cap < n:
-            self._cap *= 2
-            slopes, intercepts = self.model.llr_terms(np.arange(self._cap))
-            self._slopes = np.asarray(slopes, dtype=float)
-            self._intercepts = np.asarray(intercepts, dtype=float)
-
     def step(self, x: float) -> DetectorOutput:
-        s = self.model.sufficient_stat(x)
-        n = self.time + 1
-        self._ensure_capacity(n)
-        lam = np.empty(n)
-        lam[0] = 0.0
-        lam[1:] = self._lam
-        lam += self._slopes[:n] * s + self._intercepts[:n]
-        self._lam = lam
-        self.time = n
-        value = self.value
-        _, k_star = _bank_argmax(lam, n)
-        return DetectorOutput(
-            time=n,
-            statistic=value,
-            alarm=value >= self.threshold,
-            k_star=k_star,
-        )
+        lam = self._push(x)
+        return self._output(self.value, _bank_argmax(lam, self.time)[1])
 
 
 def run_until_alarm(detector, observations, max_steps: int | None = None) -> StoppingRecord:

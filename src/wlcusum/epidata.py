@@ -30,7 +30,6 @@ __all__ = [
     "load_case_csv",
     "to_fraction_series",
     "fit_beta_prechange",
-    "h_function",
     "fit_wave_shape",
     "monitor",
 ]
@@ -214,16 +213,6 @@ def fit_beta_prechange(series: FractionSeries, window_days: int = 20) -> BetaFit
         start_date=series.dates[-window_days],
         num_days=window_days,
     )
-
-
-def h_function(theta, lag):
-    """Post-change multiplier on the Beta shape parameter, >= 1 everywhere.
-
-    theta = (theta0, theta1, theta2): 10^theta0/theta2 sets the peak height,
-    theta1 the peak day (in days since onset), theta2 the width. Vectorized
-    over lag.
-    """
-    return wave_multiplier(theta, lag)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wlcusum.cli import main
-from wlcusum.epidata import h_function
+from wlcusum.models import wave_multiplier
 
 COUNTY_THETA = (0.464, 3.894, 0.445)
 GEM = ["--model", "gem", "--mu0", "0.1", "--sigma0-sq", "1e4", "--theta", "0.4"]
@@ -19,7 +19,7 @@ def _case_csv(path, *, days=90, onset=50, seed=2020, noiseless_post=False):
     a0, b0 = 20.6, 2.94e5
     pre = rng.beta(a0, b0, onset)
     lags = np.arange(days - onset, dtype=float)
-    h = h_function(COUNTY_THETA, lags)
+    h = wave_multiplier(COUNTY_THETA, lags)
     post = a0 * h / (a0 * h + b0) if noiseless_post else rng.beta(a0 * h, b0)
     counts = np.round(np.r_[pre, post] * 1e6).astype(int)
     lines = ["date,cases"] + [
@@ -145,6 +145,17 @@ class TestSimulateOc:
         assert [row["alpha"] for row in payload["rows"]] == [1e-1, 1e-2]
         assert payload["rows"][0]["delay"]["mean"] <= payload["rows"][1]["delay"]["mean"]
 
+    def test_glr_on_scalar_parameter_model(self, tmp_path, capsys):
+        code, payload, err = _run(
+            capsys,
+            ["simulate-oc", *GEM, "--detector", "wl-glr", "--theta-box", "0:0.5",
+             "--alphas", "1e-1,1e-2", "--nu", "1", "--trials", "6", "--seed", "3",
+             "--workers", "1", "--out", str(tmp_path / "out")],
+        )
+        assert code == 0, err
+        assert [row["alpha"] for row in payload["rows"]] == [1e-1, 1e-2]
+        assert all(row["delay"]["num_uncensored"] == 6 for row in payload["rows"])
+
 
 class TestEstimateAdd:
     def test_per_trial_csv(self, tmp_path, capsys):
@@ -159,6 +170,18 @@ class TestEstimateAdd:
         assert len(rows) == 9
         assert payload["add"]["mean"] > 1.0
         assert payload["add"]["num_false_starts"] == 0
+
+    def test_glr_on_scalar_parameter_model(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, payload, err = _run(
+            capsys,
+            ["estimate-add", *GEM, "--detector", "wl-glr", "--theta-box", "0:0.5",
+             "--alpha", "1e-2", "--nu", "1", "--trials", "6", "--seed", "3",
+             "--workers", "1", "--out", str(out)],
+        )
+        assert code == 0, err
+        assert len((out / "add_trials.csv").read_text().splitlines()) == 7
+        assert payload["add"]["num_uncensored"] == 6
 
 
 class TestSimulateQq:

@@ -27,6 +27,17 @@ EX2_LLR_32 = 13.988290235125126
 COUNTY_THETA = (0.464, 3.894, 0.445)
 
 
+# every detector kind over one model; WlGlr's grid is the model's theta and half of it
+DETECTORS = {
+    "WlCusum": lambda model, window: WlCusum(model, threshold=1e9, window=window),
+    "FullCusum": lambda model, window: FullCusum(model, threshold=1e9),
+    "WlGlr": lambda model, window: WlGlr(
+        model, threshold=1e9, window=window, grid=np.multiply.outer([0.5, 1.0], model.theta)
+    ),
+    "SrStatistic": lambda model, window: SrStatistic(model),
+}
+
+
 def _direct_stat(model, xs, n, window):
     """The defining max over change hypotheses, recomputed from scratch."""
     lo = max(1, n - window)
@@ -86,23 +97,25 @@ class TestWlCusumStepByStep:
             np.testing.assert_allclose(out.statistic, max(0.0, lag0), atol=1e-15)
             assert out.k_star == (out.time if lag0 >= 0 else out.time + 1)
 
-    def test_reset_matches_fresh_detector(self):
+    @pytest.mark.parametrize("make", DETECTORS.values(), ids=DETECTORS.keys())
+    def test_reset_matches_fresh_detector(self, make):
         rng = np.random.default_rng(3)
         xs = rng.normal(0.1, 100.0, 15)
-        det = WlCusum(GemModel(0.1, 1e4, 0.4), threshold=1e9, window=6)
+        det = make(GemModel(0.1, 1e4, 0.4), window=6)
         for x in xs:
             det.step(x)
         det.reset()
-        fresh = WlCusum(GemModel(0.1, 1e4, 0.4), threshold=1e9, window=6)
+        fresh = make(GemModel(0.1, 1e4, 0.4), window=6)
         for x in xs:
             np.testing.assert_array_equal(det.step(x).statistic, fresh.step(x).statistic)
 
-    def test_support_error_leaves_state_unchanged(self):
+    @pytest.mark.parametrize("make", DETECTORS.values(), ids=DETECTORS.keys())
+    def test_support_error_leaves_state_unchanged(self, make):
         model = BetaWaveModel(20.6, 2.94e5, COUNTY_THETA)
         rng = np.random.default_rng(11)
         xs = rng.beta(20.6, 2.94e5, 12)
-        poisoned = WlCusum(model, threshold=1e9, window=5)
-        clean = WlCusum(model, threshold=1e9, window=5)
+        poisoned = make(model, window=5)
+        clean = make(model, window=5)
         for i, x in enumerate(xs):
             if i == 6:
                 with pytest.raises(SupportError):
@@ -173,15 +186,24 @@ class TestFullCusum:
             w = max(0.0, w + model.scalar_llr(x))
             np.testing.assert_allclose(det.step(x).statistic, w, rtol=1e-9, atol=1e-9)
 
-    def test_bank_growth_beyond_initial_capacity(self):
-        # more steps than the initial internal buffer, still exact
+    @pytest.mark.parametrize(
+        "make, recursion",
+        [
+            (lambda model: FullCusum(model, threshold=1e9), lambda w, z: max(0.0, w + z)),
+            (SrStatistic, lambda r, z: math.exp(z) * (r + 1.0)),
+        ],
+        ids=["FullCusum", "SrStatistic"],
+    )
+    def test_bank_growth_beyond_initial_capacity(self, make, recursion):
+        # more steps than the initial internal buffer, still exact against the
+        # Page (CuSum) or multiplicative (Shiryaev-Roberts) one-number recursion
         rng = np.random.default_rng(13)
         xs = rng.normal(0.0, 1.0, 300)
         model = ShiftModel(0.3)
-        det = FullCusum(model, threshold=1e9)
+        det = make(model)
         w = 0.0
         for x in xs:
-            w = max(0.0, w + model.scalar_llr(x))
+            w = recursion(w, model.scalar_llr(x))
             out = det.step(x)
         np.testing.assert_allclose(out.statistic, w, rtol=1e-9, atol=1e-9)
 

@@ -12,11 +12,11 @@ from wlcusum.epidata import (
     FractionSeries,
     fit_beta_prechange,
     fit_wave_shape,
-    h_function,
     load_case_csv,
     monitor,
     to_fraction_series,
 )
+from wlcusum.models import wave_multiplier
 
 COUNTY_THETA = (0.464, 3.894, 0.445)
 COUNTY_BOX = ((0.1, 5.0), (1.0, 20.0), (0.1, 5.0))
@@ -41,7 +41,7 @@ def _fraction_series(values, start=date(2020, 6, 1)):
 
 def _wave_series(beta, theta, days):
     lags = np.arange(days, dtype=float)
-    a1 = beta.a0 * h_function(theta, lags)
+    a1 = beta.a0 * wave_multiplier(theta, lags)
     return _fraction_series(a1 / (a1 + beta.b0))
 
 
@@ -204,22 +204,22 @@ class TestFitBetaPrechange:
 
 class TestHFunction:
     def test_peak_value(self):
-        peak = h_function(COUNTY_THETA, COUNTY_THETA[1])
+        peak = wave_multiplier(COUNTY_THETA, COUNTY_THETA[1])
         assert peak == pytest.approx(1.0 + 10 ** 0.464 / 0.445, rel=1e-12)
         assert peak == pytest.approx(7.540937343969899, rel=1e-12)
 
     def test_tails_approach_one(self):
-        assert h_function(COUNTY_THETA, 1000.0) == pytest.approx(1.0, abs=1e-12)
-        assert float(h_function(COUNTY_THETA, 0.0)) > 1.0
+        assert wave_multiplier(COUNTY_THETA, 1000.0) == pytest.approx(1.0, abs=1e-12)
+        assert float(wave_multiplier(COUNTY_THETA, 0.0)) > 1.0
 
     def test_vectorized(self):
-        vals = h_function(COUNTY_THETA, np.arange(5.0))
+        vals = wave_multiplier(COUNTY_THETA, np.arange(5.0))
         assert vals.shape == (5,)
         assert np.argmax(vals) == 4  # peak day 3.894 rounds up on this grid
 
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):
-            h_function((0.5, 3.0, 0.0), 1.0)
+            wave_multiplier((0.5, 3.0, 0.0), 1.0)
 
 
 class TestFitWaveShape:
@@ -313,7 +313,7 @@ class TestMonitor:
         rng = np.random.default_rng(4)
         pre = rng.beta(beta.a0, beta.b0, 50)
         lags = np.arange(30, dtype=float)
-        post = rng.beta(beta.a0 * h_function(COUNTY_THETA, lags), beta.b0)
+        post = rng.beta(beta.a0 * wave_multiplier(COUNTY_THETA, lags), beta.b0)
         series = _fraction_series(np.r_[pre, post])
         result = monitor(series, beta, COUNTY_BOX)
         assert result.first_alarm_index is not None
