@@ -27,7 +27,6 @@ from . import __version__
 from .calibration import (
     GlrThresholdInputs,
     cusum_threshold,
-    glr_threshold,
     glr_threshold_residual,
     window_size,
 )
@@ -40,7 +39,7 @@ from .epidata import (
     to_fraction_series,
 )
 from .growth import GrowthCurve, check_growth_condition, lemma1_diagnostics
-from .models import build_model
+from .models import _MODEL_KINDS, build_model
 from .montecarlo import (
     TrialPlan,
     estimate_add,
@@ -53,12 +52,6 @@ from .montecarlo import (
 )
 
 _MTFA_ALPHA_FLOOR = 1e-4
-
-_MODEL_PARAMS = {
-    "gem": ("mu0", "sigma0_sq", "theta"),
-    "decay": ("mu1", "sigma_sq", "theta"),
-    "betawave": ("a0", "b0", "theta0", "theta1", "theta2"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +113,7 @@ def _date_type(text: str) -> date:
 
 
 def _build_model_from_args(args):
-    names = _MODEL_PARAMS[args.model]
+    _, names = _MODEL_KINDS[args.model]
     params = {}
     for name in names:
         value = getattr(args, name, None)
@@ -130,20 +123,8 @@ def _build_model_from_args(args):
     return build_model(args.model, **params)
 
 
-def _theta_box_array(args, model) -> np.ndarray:
-    if args.theta_box is None:
-        raise ValueError(f"detector '{args.detector}' requires --theta-box")
-    box = np.asarray(args.theta_box, dtype=float)
-    if box.shape != (model.theta_dim, 2):
-        raise ValueError(
-            f"--theta-box must give {model.theta_dim} lo:hi pairs for model "
-            f"'{args.model}', got {box.shape[0]}"
-        )
-    return box
-
-
 def _grid_counts(args, dim: int):
-    counts = getattr(args, "grid_counts", None)
+    counts = args.grid_counts
     if counts is None:
         counts = (10,) * dim
     elif len(counts) == 1:
@@ -153,43 +134,74 @@ def _grid_counts(args, dim: int):
     return counts
 
 
-def _glr_setup(args, model, alpha):
-    """Theta grid and GLR threshold inputs for wl-glr runs, (None, None) otherwise."""
-    if args.detector != "wl-glr":
-        return None, None
-    box = _theta_box_array(args, model)
-    # a one-row box is a scalar parameter: its grid points must be floats, not 1-tuples
-    grid = theta_grid(box[0] if len(box) == 1 else box, _grid_counts(args, len(box)))
-    glr_inputs = GlrThresholdInputs(
+def _glr_inputs(args, model, alpha) -> GlrThresholdInputs:
+    """Inputs of the GLR threshold equation over --theta-box."""
+    if args.theta_box is None:
+        raise ValueError(f"detector '{args.detector}' requires --theta-box")
+    box = np.asarray(args.theta_box, dtype=float)
+    if box.shape != (model.theta_dim, 2):
+        raise ValueError(
+            f"--theta-box must give {model.theta_dim} lo:hi pairs for model "
+            f"'{args.model}', got {box.shape[0]}"
+        )
+    return GlrThresholdInputs(
         alpha=alpha,
         theta_volume=float(np.prod(box[:, 1] - box[:, 0])),
         dim=len(box),
-        epsilon=args.epsilon if args.epsilon is not None else 1.0,
+        epsilon=args.epsilon,
     )
-    return grid, glr_inputs
 
 
-def _resolve_run_setup(args, model):
-    """Threshold, window, and grid for the simulate/estimate subcommands."""
-    grid, glr_inputs = _glr_setup(args, model, args.alpha if args.alpha is not None else 0.5)
-
-    if args.threshold is not None:
-        b = float(args.threshold)
-    elif args.alpha is not None:
-        b = glr_inputs.solve() if glr_inputs is not None else cusum_threshold(args.alpha)
-    else:
+def _threshold(args, alpha, glr_inputs) -> float:
+    """Explicit --threshold, else the GLR equation when glr_inputs is given, else |ln alpha|."""
+    if getattr(args, "threshold", None) is not None:  # calibrate and simulate-oc have none
+        return float(args.threshold)
+    if alpha is None:
         raise ValueError("need --threshold or --alpha to set the detection threshold")
+    return glr_inputs.solve() if glr_inputs is not None else cusum_threshold(alpha)
 
-    window = args.window
-    if window is None and args.detector != "full-cusum":
-        if args.model == "betawave":
-            raise ValueError(
-                "the Beta wave model has no usable growth inverse for window "
-                "sizing; pass --window explicitly"
-            )
-        alpha_eff = args.alpha if args.alpha is not None else math.exp(-b)
-        window = window_size(GrowthCurve(model), alpha_eff, args.safety)
-    return b, window, grid
+
+def _window(args, model, alpha) -> int:
+    """Explicit --window, else g^{-1}(|ln alpha|) padded by --safety."""
+    if args.window is not None:
+        return args.window
+    if args.model == "betawave":
+        raise ValueError("the Beta wave model has no usable growth inverse for window "
+                         "sizing; pass --window explicitly")
+    return window_size(GrowthCurve(model), alpha, args.safety)
+
+
+def _trial_plan(args, model, nu, alpha, *, sweep=False):
+    """The TrialPlan of a simulate/estimate run, calibrated at alpha, and its GLR inputs.
+
+    The GLR inputs are None unless the detector is wl-glr. With --threshold
+    alone the window is sized at e^-b. sweep=True keeps --window as given (None
+    is sized per alpha) for operating_characteristic, which recalibrates.
+    """
+    grid = glr_inputs = None
+    if args.detector == "wl-glr":
+        glr_inputs = _glr_inputs(args, model, alpha)
+        box = args.theta_box
+        # a one-row box is a scalar parameter: its grid points must be floats, not 1-tuples
+        grid = theta_grid(box[0] if len(box) == 1 else box, _grid_counts(args, len(box)))
+    b = _threshold(args, alpha, glr_inputs)
+    window = None
+    if args.detector != "full-cusum":
+        alpha_eff = math.exp(-b) if alpha is None else alpha
+        window = args.window if sweep else _window(args, model, alpha_eff)
+    plan = TrialPlan(
+        model=model,
+        detector=args.detector,
+        threshold=b,
+        window=window,
+        grid=grid,
+        nu=nu,
+        num_trials=args.trials,
+        seed=args.seed,
+        max_steps=args.max_steps,
+        workers=args.workers,
+    )
+    return plan, glr_inputs
 
 
 def _write_json(path: Path, payload, written: list) -> None:
@@ -235,43 +247,20 @@ def _delay_dict(est) -> dict:
 
 def _cmd_calibrate(args, out_dir, written):
     model = _build_model_from_args(args)
-    if args.theta_box is not None:
-        box = _theta_box_array(args, model)
-        volume = float(np.prod(box[:, 1] - box[:, 0]))
-        epsilon = args.epsilon if args.epsilon is not None else 1.0
-        b = glr_threshold(args.alpha, volume, box.shape[0], epsilon)
-        residual = glr_threshold_residual(b, args.alpha, volume, box.shape[0], epsilon)
-        eps_out = epsilon
-    else:
-        b = cusum_threshold(args.alpha)
-        residual = 0.0
-        eps_out = None
-    if args.window is not None:
-        m = int(args.window)
-    elif args.model == "betawave":
-        m = 20
-    else:
-        m = window_size(GrowthCurve(model), args.alpha, args.safety)
-    payload = {"b": b, "m": m, "epsilon": eps_out, "residual": residual}
+    glr = _glr_inputs(args, model, args.alpha) if args.theta_box is not None else None
+    b = _threshold(args, args.alpha, glr)
+    m = _window(args, model, args.alpha)
+    payload = {"b": b, "m": m, "epsilon": None, "residual": 0.0}
+    if glr is not None:
+        residual = glr_threshold_residual(b, glr.alpha, glr.theta_volume, glr.dim, glr.epsilon)
+        payload.update(epsilon=glr.epsilon, residual=residual)
     _write_json(out_dir / "calibrate.json", payload, written)
     return payload
 
 
 def _cmd_simulate_oc(args, out_dir, written):
     model = _build_model_from_args(args)
-    grid, glr_inputs = _glr_setup(args, model, args.alphas[0])
-    template = TrialPlan(
-        model=model,
-        detector=args.detector,
-        threshold=1.0,  # replaced per alpha
-        window=args.window,
-        grid=grid,
-        nu=args.nu,
-        num_trials=args.trials,
-        seed=args.seed,
-        max_steps=args.max_steps,
-        workers=args.workers,
-    )
+    template, glr_inputs = _trial_plan(args, model, args.nu, args.alphas[0], sweep=True)
     rows = operating_characteristic(template, args.alphas, safety=args.safety,
                                     glr_inputs=glr_inputs)
     oc_to_csv(rows, out_dir / "oc.csv")
@@ -293,19 +282,7 @@ def _cmd_simulate_oc(args, out_dir, written):
 
 def _cmd_simulate_qq(args, out_dir, written):
     model = _build_model_from_args(args)
-    b, window, grid = _resolve_run_setup(args, model)
-    plan = TrialPlan(
-        model=model,
-        detector=args.detector,
-        threshold=b,
-        window=window,
-        grid=grid,
-        nu=math.inf,
-        num_trials=args.trials,
-        seed=args.seed,
-        max_steps=args.max_steps,
-        workers=args.workers,
-    )
+    plan, _ = _trial_plan(args, model, math.inf, args.alpha)
     times, censored = run_trials(plan)
     kept = times[~censored]
     if len(kept) < 100:
@@ -321,8 +298,8 @@ def _cmd_simulate_qq(args, out_dir, written):
         "p_hat": report.p_hat,
         "correlation": report.correlation,
         "num_samples": report.num_samples,
-        "threshold": b,
-        "window": window,
+        "threshold": plan.threshold,
+        "window": plan.window,
         "num_censored": int(censored.sum()),
     }
     _write_json(out_dir / "qq_summary.json", payload, written)
@@ -331,29 +308,17 @@ def _cmd_simulate_qq(args, out_dir, written):
 
 def _cmd_estimate_mtfa(args, out_dir, written):
     model = _build_model_from_args(args)
-    b, window, grid = _resolve_run_setup(args, model)
-    alpha_eff = args.alpha if args.alpha is not None else math.exp(-b)
+    plan, _ = _trial_plan(args, model, math.inf, args.alpha)
+    alpha_eff = args.alpha if args.alpha is not None else math.exp(-plan.threshold)
     if alpha_eff < _MTFA_ALPHA_FLOOR and not args.force:
         raise ValueError(
             f"MTFA estimation at alpha={alpha_eff:.3g} needs on the order of "
             f"{1 / alpha_eff:.0f} observations per trial; pass --force to run anyway"
         )
-    plan = TrialPlan(
-        model=model,
-        detector=args.detector,
-        threshold=b,
-        window=window,
-        grid=grid,
-        nu=math.inf,
-        num_trials=args.trials,
-        seed=args.seed,
-        max_steps=args.max_steps,
-        workers=args.workers,
-    )
     times, censored = run_trials(plan)
     est = estimate_mtfa(plan, results=(times, censored))
     _trials_to_csv(out_dir / "mtfa_trials.csv", times, censored, written)
-    payload = {"mtfa": _delay_dict(est), "threshold": b, "window": window,
+    payload = {"mtfa": _delay_dict(est), "threshold": plan.threshold, "window": plan.window,
                "target_lower_bound": 1.0 / alpha_eff}
     _write_json(out_dir / "mtfa_summary.json", payload, written)
     return payload
@@ -361,23 +326,12 @@ def _cmd_estimate_mtfa(args, out_dir, written):
 
 def _cmd_estimate_add(args, out_dir, written):
     model = _build_model_from_args(args)
-    b, window, grid = _resolve_run_setup(args, model)
-    plan = TrialPlan(
-        model=model,
-        detector=args.detector,
-        threshold=b,
-        window=window,
-        grid=grid,
-        nu=args.nu,
-        num_trials=args.trials,
-        seed=args.seed,
-        max_steps=args.max_steps,
-        workers=args.workers,
-    )
+    plan, _ = _trial_plan(args, model, args.nu, args.alpha)
     times, censored = run_trials(plan)
     est = estimate_add(plan, results=(times, censored))
     _trials_to_csv(out_dir / "add_trials.csv", times, censored, written)
-    payload = {"add": _delay_dict(est), "threshold": b, "window": window, "nu": args.nu}
+    payload = {"add": _delay_dict(est), "threshold": plan.threshold, "window": plan.window,
+               "nu": args.nu}
     _write_json(out_dir / "add_summary.json", payload, written)
     return payload
 
@@ -436,7 +390,7 @@ def _cmd_monitor_epi(args, out_dir, written):
         alpha=args.alpha,
         window=args.window,
         grid_counts=_grid_counts(args, 3),
-        epsilon=args.epsilon if args.epsilon is not None else 1.0,
+        epsilon=args.epsilon,
         threshold=args.threshold,
     )
     result.to_csv(out_dir / "trajectory.csv")
@@ -485,7 +439,7 @@ def _add_output_flag(parser):
 
 def _add_model_flags(parser):
     group = parser.add_argument_group("model")
-    group.add_argument("--model", required=True, choices=sorted(_MODEL_PARAMS))
+    group.add_argument("--model", required=True, choices=sorted(_MODEL_KINDS))
     group.add_argument("--mu0", type=float, help="gem: pre-change mean")
     group.add_argument("--sigma0-sq", dest="sigma0_sq", type=float, help="gem: variance")
     group.add_argument("--theta", type=float, help="gem/decay: drift parameter")
@@ -513,7 +467,7 @@ def _add_detector_flags(parser, *, include_alpha=True):
                        help="post-change parameter box, e.g. '0.1:5,1:20,0.1:5'")
     group.add_argument("--grid-counts", type=_counts_type,
                        help="GLR grid points per dimension, e.g. '10,10,10' (default 10)")
-    group.add_argument("--epsilon", type=float,
+    group.add_argument("--epsilon", type=float, default=1.0,
                        help="GLR threshold-equation drift bound (default 1.0)")
     group.add_argument("--safety", type=float, default=1.1,
                        help="window safety factor (default 1.1)")
@@ -561,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, help="override the computed window")
     p.add_argument("--theta-box", type=_box_type,
                    help="calibrate the GLR threshold over this box instead of plain CuSum")
-    p.add_argument("--epsilon", type=float, help="GLR drift bound (default 1.0)")
+    p.add_argument("--epsilon", type=float, default=1.0, help="GLR drift bound (default 1.0)")
     p.add_argument("--safety", type=float, default=1.1)
     p.set_defaults(func=_cmd_calibrate)
 
@@ -615,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--grid-counts", type=_counts_type,
                    help="GLR grid points per dimension (default 10,10,10)")
-    p.add_argument("--epsilon", type=float, help="GLR drift bound (default 1.0)")
+    p.add_argument("--epsilon", type=float, default=1.0, help="GLR drift bound (default 1.0)")
     p.add_argument("--threshold", type=float, help="override the calibrated threshold")
     p.set_defaults(func=_cmd_monitor_epi)
 

@@ -266,7 +266,8 @@ class SrStatistic(_LagBank):
 
     @property
     def value(self) -> float:
-        return float(math.exp(min(self.log_value, 709.0)) if self.log_value < math.inf else math.inf)
+        log_value = self.log_value
+        return math.exp(min(log_value, 709.0)) if log_value < math.inf else math.inf
 
     def step(self, x: float) -> DetectorOutput:
         lam = self._push(x)

@@ -56,11 +56,6 @@ class GrowthCurve:
         else:
             self._peak_lag = None
 
-    @classmethod
-    def from_increments(cls, increments) -> "GrowthCurve":
-        """Curve over an arbitrary increment function (vectorized over lag)."""
-        return cls(increments=increments)
-
     @property
     def model(self):
         return self._model

@@ -465,36 +465,32 @@ class BetaWaveModel(ObservationModel):
         return 3
 
 
+def _beta_wave_model(a0, b0, theta0, theta1, theta2) -> BetaWaveModel:
+    return BetaWaveModel(a0, b0, (theta0, theta1, theta2))
+
+
+# kind -> (constructor, flat parameter names); the CLI's model flags follow it
 _MODEL_KINDS = {
     "gem": (GemModel, ("mu0", "sigma0_sq", "theta")),
     "decay": (DecayModel, ("mu1", "sigma_sq", "theta")),
-    "betawave": (BetaWaveModel, ("a0", "b0", "theta")),
+    "betawave": (_beta_wave_model, ("a0", "b0", "theta0", "theta1", "theta2")),
 }
 
 
 def build_model(kind: str, **params) -> ObservationModel:
     """Construct a model from a flat configuration (CLI flags, config files).
 
-    kind is one of 'gem', 'decay', 'betawave'. For 'betawave', theta may be
-    given either as a triple or as separate theta0/theta1/theta2 entries.
+    kind is one of 'gem', 'decay', 'betawave'. Every parameter is a scalar:
+    'betawave' takes its wave as theta0, theta1, theta2, never as a triple.
     """
     key = kind.lower()
     if key not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(_MODEL_KINDS)}")
-    cls, fields = _MODEL_KINDS[key]
-    if key == "betawave" and "theta" not in params:
-        try:
-            params = {
-                "a0": params["a0"],
-                "b0": params["b0"],
-                "theta": (params["theta0"], params["theta1"], params["theta2"]),
-            }
-        except KeyError as exc:
-            raise ValueError(f"betawave model requires a0, b0, theta0, theta1, theta2") from exc
+    make, fields = _MODEL_KINDS[key]
     missing = [f for f in fields if f not in params]
     if missing:
         raise ValueError(f"model {kind!r} missing parameters: {missing}")
     extra = [f for f in params if f not in fields]
     if extra:
         raise ValueError(f"model {kind!r} got unexpected parameters: {extra}")
-    return cls(**{f: params[f] for f in fields})
+    return make(**{f: params[f] for f in fields})

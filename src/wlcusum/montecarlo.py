@@ -111,9 +111,10 @@ def _stream(model, rng, nu, max_steps, block=_STREAM_BLOCK):
 def _run_chunk(plan: TrialPlan, start: int, stop: int, max_steps: int):
     times = np.empty(stop - start, dtype=np.int64)
     censored = np.empty(stop - start, dtype=bool)
+    detector = _build_detector(plan)  # its coefficient tables serve every trial
     for i in range(start, stop):
         rng = np.random.default_rng([plan.seed, i])
-        detector = _build_detector(plan)
+        detector.reset()
         rec = run_until_alarm(detector, _stream(plan.model, rng, plan.nu, max_steps), max_steps)
         times[i - start] = rec.time
         censored[i - start] = rec.censored

@@ -2,7 +2,9 @@
 
 import json
 import math
+import shlex
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from wlcusum.cli import main
 from wlcusum.models import wave_multiplier
 
+REPO = Path(__file__).resolve().parents[1]
 COUNTY_THETA = (0.464, 3.894, 0.445)
 GEM = ["--model", "gem", "--mu0", "0.1", "--sigma0-sq", "1e4", "--theta", "0.4"]
 
@@ -62,6 +65,19 @@ class TestCalibrate:
         assert code == 0
         assert payload["b"] == pytest.approx(13.72414101861043, rel=1e-14)
         assert abs(payload["residual"]) < 1e-9
+
+    def test_betawave_needs_explicit_window(self, tmp_path, capsys):
+        beta = ["calibrate", "--model", "betawave", "--a0", "20.6", "--b0", "2.94e5",
+                "--theta0", "0.464", "--theta1", "3.894", "--theta2", "0.445",
+                "--alpha", "1e-3"]
+        out = tmp_path / "out"
+        code, _, err = _run(capsys, beta + ["--out", str(out)])
+        assert code == 1
+        assert "--window" in err
+        assert not any(out.iterdir())
+        code, payload, _ = _run(capsys, beta + ["--window", "20", "--out", str(tmp_path / "w")])
+        assert code == 0
+        assert payload["m"] == 20
 
     def test_manifest_contents(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -266,3 +282,26 @@ class TestFitEpi:
         assert fit["theta1"] == pytest.approx(COUNTY_THETA[1], rel=0.05)
         assert fit["theta2"] == pytest.approx(COUNTY_THETA[2], rel=0.05)
         assert (tmp_path / "out/fit_summary.json").exists()
+
+
+def _readme_commands():
+    """The `wlcusum ...` command lines of the README's sh blocks, continuations joined."""
+    readme = (REPO / "README.md").read_text()
+    blocks = readme.split("```sh\n")[1:]
+    text = "\n".join(block.split("```")[0] for block in blocks).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("wlcusum ")]
+
+
+README_SUMMARIES = {"calibrate": "calibrate.json", "monitor-epi": "monitor_summary.json"}
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == list(README_SUMMARIES)
+    monkeypatch.chdir(REPO)  # the README's input paths are relative to the repository
+    for argv in commands:
+        out = tmp_path / argv[0]
+        argv[argv.index("--out") + 1] = str(out)
+        code, payload, err = _run(capsys, argv)
+        assert code == 0, err
+        assert json.loads((out / README_SUMMARIES[argv[0]]).read_text()) == payload

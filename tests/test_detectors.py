@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import ShiftModel
 
+from wlcusum import detectors
 from wlcusum.detectors import (
     FullCusum,
     SrStatistic,
@@ -322,6 +324,19 @@ class TestSrStatistic:
         out = sr.step(3.0)
         assert out.alarm
         assert out.statistic > 0.5
+
+    def test_one_logsumexp_per_step(self, monkeypatch):
+        calls = []
+
+        def counting_logsumexp(a):
+            calls.append(len(a))
+            return logsumexp(a)
+
+        monkeypatch.setattr(detectors, "logsumexp", counting_logsumexp)
+        sr = SrStatistic(ShiftModel(0.5))
+        for x in np.random.default_rng(31).normal(0.0, 1.0, 25):
+            sr.step(x)
+        assert calls == list(range(1, 26))  # one O(n) reduction of the n-entry bank
 
 
 class TestRunUntilAlarm:

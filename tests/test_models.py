@@ -335,6 +335,8 @@ def test_build_model_round_trip():
         build_model("unknown")
     with pytest.raises(ValueError):
         build_model("gem", mu0=0.1)
+    with pytest.raises(ValueError):
+        build_model("betawave", a0=20.6, b0=2.94e5, theta=COUNTY_THETA)
 
 
 def test_gem_llr_terms_stay_usable_at_extreme_lags():

@@ -8,7 +8,9 @@ import pytest
 
 from conftest import ShiftModel
 
+from wlcusum import montecarlo
 from wlcusum.calibration import GlrThresholdInputs
+from wlcusum.detectors import WlGlr, run_until_alarm
 from wlcusum.models import DecayModel, GemModel
 from wlcusum.montecarlo import (
     DelayEstimate,
@@ -78,6 +80,26 @@ class TestRunTrials:
         times, censored = run_trials(_plan(threshold=1e9, max_steps=17, num_trials=6))
         assert np.all(times == 17)
         assert censored.all()
+
+    def test_one_detector_per_chunk(self, monkeypatch):
+        builds = []
+
+        class CountingWlGlr(WlGlr):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(montecarlo, "WlGlr", CountingWlGlr)
+        plan = _plan(detector="wl-glr", grid=np.linspace(0.1, 0.5, 5), num_trials=30)
+        times, censored = run_trials(plan)
+        assert len(builds) == 1
+        # the reused, reset detector stops where a fresh one per trial does
+        max_steps = plan.resolved_max_steps()
+        for i in range(plan.num_trials):
+            fresh = WlGlr(GEM, plan.threshold, plan.window, plan.grid)
+            stream = montecarlo._stream(GEM, np.random.default_rng([plan.seed, i]), plan.nu, max_steps)
+            rec = run_until_alarm(fresh, stream, max_steps)
+            assert (times[i], censored[i]) == (rec.time, rec.censored)
 
 
 class TestResolvedMaxSteps:
