@@ -161,14 +161,14 @@ def _threshold(args, alpha, glr_inputs) -> float:
     return glr_inputs.solve() if glr_inputs is not None else cusum_threshold(alpha)
 
 
-def _window(args, model, alpha) -> int:
-    """Explicit --window, else g^{-1}(|ln alpha|) padded by --safety."""
+def _window(args, model, alpha, *, sweep=False) -> int | None:
+    """Explicit --window, else g^{-1}(|ln alpha|) padded by --safety (None if sweep)."""
     if args.window is not None:
         return args.window
     if args.model == "betawave":
         raise ValueError("the Beta wave model has no usable growth inverse for window "
                          "sizing; pass --window explicitly")
-    return window_size(GrowthCurve(model), alpha, args.safety)
+    return None if sweep else window_size(GrowthCurve(model), alpha, args.safety)
 
 
 def _trial_plan(args, model, nu, alpha, *, sweep=False):
@@ -188,7 +188,7 @@ def _trial_plan(args, model, nu, alpha, *, sweep=False):
     window = None
     if args.detector != "full-cusum":
         alpha_eff = math.exp(-b) if alpha is None else alpha
-        window = args.window if sweep else _window(args, model, alpha_eff)
+        window = _window(args, model, alpha_eff, sweep=sweep)
     plan = TrialPlan(
         model=model,
         detector=args.detector,

@@ -115,8 +115,6 @@ class GrowthCurve:
         while self._cum[-1] < x:
             have = len(self._cum) - 1
             target = max(64, 2 * have)
-            if self._peak_lag is not None:
-                self._warn_if_past_peak(target)
             if have >= _SATURATION_CAP:
                 raise ValueError(
                     f"growth_inverse({x!r}): curve saturated near {self._cum[-1]!r} "
@@ -140,10 +138,14 @@ class GrowthCurve:
                 if self._cum[j + 1] != x:
                     break
                 j += 1
-            return float(j)
-        # strictly increasing segment [j-1, j]; solve the linear piece exactly
-        lo, hi = self._cum[j - 1], self._cum[j]
-        return (j - 1) + (x - lo) / (hi - lo)
+            t = float(j)
+        else:
+            # strictly increasing segment [j-1, j]; solve the linear piece exactly
+            lo, hi = self._cum[j - 1], self._cum[j]
+            t = (j - 1) + (x - lo) / (hi - lo)
+        # the answer rests on knot j, so warn as growth(j) would
+        self._warn_if_past_peak(j)
+        return t
 
 
 @dataclass

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import stats
+from scipy.special import digamma, gammaln, polygamma
 
 __all__ = [
     "SupportError",
@@ -61,8 +62,9 @@ class ObservationModel:
     """Shared behaviour for pre/post density pairs with lag-indexed drift.
 
     Subclasses provide densities, samplers, the affine log-likelihood-ratio
-    coefficients, and moment formulas. Instances are immutable and safe to
-    share across threads and worker processes.
+    coefficients, and the mean and variance of the statistic t(X) after the
+    change; the LLR moments follow from those. Instances are immutable and
+    safe to share across threads and worker processes.
     """
 
     # -- densities ---------------------------------------------------------
@@ -97,11 +99,6 @@ class ObservationModel:
     def sample_post_lags(self, rng: np.random.Generator, lags: np.ndarray):
         raise NotImplementedError
 
-    def sample_post(self, rng: np.random.Generator, n: int, nu: int) -> float:
-        """One draw from the post-change density at time n, change at nu."""
-        lag = _check_times(n, nu)
-        return float(self.sample_post_lags(rng, np.array([lag]))[0])
-
     def sample_segment(self, rng: np.random.Generator, nu, start: int, length: int):
         """Draws for times start .. start+length-1 with change point nu.
 
@@ -134,16 +131,43 @@ class ObservationModel:
         lag = _check_lag(lag)
         return float(self.expected_llr_lags(np.array([lag]))[0])
 
-    def expected_llr_lags(self, lags: np.ndarray) -> np.ndarray:
+    def stat_moments(self, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mean, variance) of t(X) when X is post-change at each lag."""
         raise NotImplementedError
 
+    # Every moment below follows from the affine form Z = slope * t + intercept.
+    # A lag that llr_terms pins (slope 0, intercept -inf) has overflowed: its
+    # divergence and variance are +inf, not the -inf or 0 the form would give.
+
+    def expected_llr_lags(self, lags: np.ndarray) -> np.ndarray:
+        """expected_llr at each lag of an array."""
+        slopes, intercepts = self.llr_terms(lags)
+        means, _ = self.stat_moments(lags)
+        pinned = np.isneginf(intercepts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(pinned, np.inf, slopes * means + intercepts)
+
     def expected_llr_mismatch(self, hyp_lag: int, true_lag: int) -> float:
-        """Mean of the lag-`hyp_lag` LLR when the data sit at `true_lag`."""
-        raise NotImplementedError
+        """Mean of the lag-`hyp_lag` LLR when the data sit at `true_lag`.
+
+        At a pinned hypothesis lag this is +inf once the data have drifted at
+        least that far (true_lag >= hyp_lag) and -inf before, as the pin has it.
+        """
+        l, t = _check_lag(hyp_lag), _check_lag(true_lag)
+        slopes, intercepts = self.llr_terms(np.array([l]))
+        if np.isneginf(intercepts[0]):
+            return math.inf if t >= l else -math.inf
+        means, _ = self.stat_moments(np.array([t]))
+        return float(slopes[0] * means[0] + intercepts[0])
 
     def llr_variance(self, lag: int) -> float:
         """Variance of Z(X; lag) when X is post-change at that same lag."""
-        raise NotImplementedError
+        lags = np.array([_check_lag(lag)])
+        slopes, intercepts = self.llr_terms(lags)
+        if np.isneginf(intercepts[0]):
+            return math.inf
+        _, variances = self.stat_moments(lags)
+        return float(slopes[0] ** 2 * variances[0])
 
     # -- post-change parameter override (GLR grids) -------------------------
 
@@ -228,23 +252,10 @@ class GemModel(ObservationModel):
         means = self.mu0 * np.exp(self.theta * np.asarray(lags, dtype=float))
         return rng.normal(means, math.sqrt(self.sigma0_sq))
 
-    def expected_llr_lags(self, lags):
-        lags = np.asarray(lags, dtype=float)
-        return self.mu0**2 / (2.0 * self.sigma0_sq) * (np.exp(self.theta * lags) - 1.0) ** 2
-
-    def expected_llr_mismatch(self, hyp_lag, true_lag):
-        l, t = _check_lag(hyp_lag), _check_lag(true_lag)
-        a = math.exp(self.theta * l) - 1.0
-        return (
-            self.mu0**2
-            / self.sigma0_sq
-            * (a * math.exp(self.theta * t) - (math.exp(2.0 * self.theta * l) - 1.0) / 2.0)
-        )
-
-    def llr_variance(self, lag):
-        lag = _check_lag(lag)
-        # slope^2 * Var[X]; the observation variance is sigma0_sq at every lag
-        return self.mu0**2 / self.sigma0_sq * (math.exp(self.theta * lag) - 1.0) ** 2
+    def stat_moments(self, lags):
+        with np.errstate(over="ignore"):
+            means = self.mu0 * np.exp(self.theta * np.asarray(lags, dtype=float))
+        return means, np.full_like(means, self.sigma0_sq)
 
     def with_theta(self, theta):
         return replace(self, theta=float(theta))
@@ -298,18 +309,9 @@ class DecayModel(ObservationModel):
     def sample_post_lags(self, rng, lags):
         return rng.normal(self._post_mean(lags), math.sqrt(self.sigma_sq))
 
-    def expected_llr_lags(self, lags):
-        return self._post_mean(lags) ** 2 / (2.0 * self.sigma_sq)
-
-    def expected_llr_mismatch(self, hyp_lag, true_lag):
-        l, t = _check_lag(hyp_lag), _check_lag(true_lag)
-        m_l = float(self._post_mean(l))
-        m_t = float(self._post_mean(t))
-        return (m_l * m_t - m_l**2 / 2.0) / self.sigma_sq
-
-    def llr_variance(self, lag):
-        lag = _check_lag(lag)
-        return float(self._post_mean(lag)) ** 2 / self.sigma_sq
+    def stat_moments(self, lags):
+        means = self._post_mean(lags)
+        return means, np.full_like(means, self.sigma_sq)
 
     def with_theta(self, theta):
         return replace(self, theta=float(theta))
@@ -338,19 +340,6 @@ def wave_multiplier(theta, lag):
     return out if out.ndim else float(out)
 
 
-def _beta_focus_points(a: float, b: float) -> list[float]:
-    """Interior abscissae marking where a Beta(a, b) density concentrates.
-
-    Both Beta densities involved here are extremely concentrated (b is of
-    order 1e5 in the epidemic application), so adaptive quadrature over (0, 1)
-    needs hints or it will step right over the spike.
-    """
-    mean = a / (a + b)
-    sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-    pts = [mean + c * sd for c in (-30.0, -5.0, 0.0, 5.0, 30.0, 200.0)]
-    return [p for p in pts if 0.0 < p < 1.0]
-
-
 @dataclass(frozen=True)
 class BetaWaveModel(ObservationModel):
     """Beta-distributed fractions with a transient wave after the change.
@@ -359,9 +348,7 @@ class BetaWaveModel(ObservationModel):
     Post-change: X at lag l ~ Beta(a0 * h(l), b0), h from wave_multiplier.
 
     Since h >= 1 rises to a single peak and relaxes back toward 1, the
-    post-change distributions drift away from p0 and then return to it;
-    moments with no closed form (KL divergence, LLR variance) are computed by
-    adaptive quadrature with absolute tolerance 1e-10.
+    post-change distributions drift away from p0 and then return to it.
     """
 
     a0: float
@@ -405,8 +392,6 @@ class BetaWaveModel(ObservationModel):
         return math.log(x)
 
     def llr_terms(self, lags):
-        from scipy.special import gammaln
-
         a1 = self._post_shape(lags)
         slopes = a1 - self.a0
         intercepts = (
@@ -423,39 +408,12 @@ class BetaWaveModel(ObservationModel):
     def sample_post_lags(self, rng, lags):
         return rng.beta(self._post_shape(lags), self.b0)
 
-    def _llr_moment_under(self, hyp_lag: int, true_lag: int, power: int) -> float:
-        """E[ Z(X; hyp_lag)^power ] with X ~ Beta(a0 h(true_lag), b0), by quadrature."""
-        slopes, intercepts = self.llr_terms(np.array([hyp_lag]))
-        s, c = float(slopes[0]), float(intercepts[0])
-        a_true = float(self._post_shape(true_lag))
-        dist = stats.beta(a_true, self.b0)
-
-        def integrand(x):
-            return (s * math.log(x) + c) ** power * dist.pdf(x)
-
-        val, _ = integrate.quad(
-            integrand,
-            0.0,
-            1.0,
-            points=_beta_focus_points(a_true, self.b0),
-            limit=300,
-            epsabs=1e-10,
-            epsrel=1e-10,
-        )
-        return val
-
-    def expected_llr_lags(self, lags):
-        lags = np.atleast_1d(np.asarray(lags))
-        return np.array([self._llr_moment_under(_check_lag(l), _check_lag(l), 1) for l in lags])
-
-    def expected_llr_mismatch(self, hyp_lag, true_lag):
-        return self._llr_moment_under(_check_lag(hyp_lag), _check_lag(true_lag), 1)
-
-    def llr_variance(self, lag):
-        lag = _check_lag(lag)
-        m1 = self._llr_moment_under(lag, lag, 1)
-        m2 = self._llr_moment_under(lag, lag, 2)
-        return m2 - m1**2
+    def stat_moments(self, lags):
+        # E[log X] and Var[log X] for X ~ Beta(a1, b0): digamma and trigamma
+        a1 = self._post_shape(lags)
+        means = digamma(a1) - digamma(a1 + self.b0)
+        variances = polygamma(1, a1) - polygamma(1, a1 + self.b0)
+        return means, variances
 
     def with_theta(self, theta):
         return replace(self, theta=tuple(float(v) for v in theta))

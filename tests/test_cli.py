@@ -172,6 +172,20 @@ class TestSimulateOc:
         assert [row["alpha"] for row in payload["rows"]] == [1e-1, 1e-2]
         assert all(row["delay"]["num_uncensored"] == 6 for row in payload["rows"])
 
+    def test_betawave_needs_explicit_window(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = _run(
+            capsys,
+            ["simulate-oc", "--model", "betawave", "--a0", "20.6", "--b0", "2.94e5",
+             "--theta0", "0.464", "--theta1", "3.894", "--theta2", "0.445",
+             "--detector", "wl-glr", "--theta-box", "0.1:5,1:20,0.1:5",
+             "--alphas", "1e-1", "--nu", "1", "--trials", "4", "--seed", "3",
+             "--workers", "1", "--out", str(out)],
+        )
+        assert code == 1
+        assert "--window" in err
+        assert not any(out.iterdir())
+
 
 class TestEstimateAdd:
     def test_per_trial_csv(self, tmp_path, capsys):
@@ -228,6 +242,17 @@ class TestDiagnostics:
         assert (out / "lemma1.csv").exists()
         lemma = (out / "lemma1.csv").read_text().splitlines()
         assert len(lemma) == 20  # header + n = 2..20
+
+    def test_betawave_reports_written(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = _run(
+            capsys,
+            ["diagnostics", "--model", "betawave", "--a0", "20.6", "--b0", "2.94e5",
+             "--theta0", "0.464", "--theta1", "3.894", "--theta2", "0.445",
+             "--x-max", "50", "--n-max", "50", "--out", str(out)],
+        )
+        assert code == 0, err
+        assert len((out / "lemma1.csv").read_text().splitlines()) == 50  # header + 49
 
 
 class TestMonitorEpi:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ def test_betawave_growth_warns_past_peak():
     curve = GrowthCurve(model)
     with pytest.warns(RuntimeWarning):
         curve.growth(10)  # lags past the wave peak: divergence shrinks again
+
+
+def test_betawave_inverse_warns_only_past_peak():
+    model = BetaWaveModel(20.6, 2.94e5, (0.464, 3.894, 0.445))
+    for x in (0.5, -math.log(1e-3)):  # answers 3.10 and 4.02, before knot 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            GrowthCurve(model).growth_inverse(x)
+    with pytest.warns(RuntimeWarning):
+        GrowthCurve(model).growth_inverse(96.0)  # needs knot 6, past the peak
 
 
 def test_growth_curve_pickles():

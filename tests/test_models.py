@@ -125,8 +125,9 @@ def test_decay_expected_llr_frozen():
 
 @pytest.mark.parametrize(
     "model",
-    [GemModel(1.0, 1.0, 1.0), DecayModel(2.0, 4.0, 0.2)],
-    ids=["gem", "decay"],
+    [GemModel(1.0, 1.0, 1.0), DecayModel(2.0, 4.0, 0.2),
+     BetaWaveModel(20.6, 2.94e5, COUNTY_THETA)],
+    ids=["gem", "decay", "betawave"],
 )
 def test_mismatch_at_matched_lag_equals_expected_llr(model):
     for lag in range(6):
@@ -191,7 +192,7 @@ def test_beta_mean_matches_frozen_value():
     np.testing.assert_allclose(draws.mean(), COUNTY_MEAN, rtol=5e-3)
 
 
-@pytest.mark.parametrize(
+MC_CASES = pytest.mark.parametrize(
     "model, lag",
     [
         (GemModel(0.1, 1e4, 0.4), 3),
@@ -200,6 +201,9 @@ def test_beta_mean_matches_frozen_value():
     ],
     ids=["gem", "decay", "betawave"],
 )
+
+
+@MC_CASES
 def test_mc_mean_llr_matches_expected_llr(model, lag):
     """Sample mean of the LLR under the post law must match the divergence."""
     rng = np.random.default_rng(11)
@@ -211,6 +215,19 @@ def test_mc_mean_llr_matches_expected_llr(model, lag):
     want = model.expected_llr(lag)
     stderr = z.std(ddof=1) / math.sqrt(len(z))
     assert abs(z.mean() - want) < 4.0 * stderr + 1e-12
+
+
+@MC_CASES
+def test_mc_llr_variance_matches_llr_variance(model, lag):
+    """Sample variance of the LLR under the post law must match llr_variance."""
+    rng = np.random.default_rng(13)
+    xs = model.sample_post_lags(rng, np.full(50_000, lag))
+    slopes, intercepts = model.llr_terms(np.array([lag]))
+    z = slopes[0] * np.array([model.sufficient_stat(float(x)) for x in xs]) + intercepts[0]
+    var = z.var(ddof=1)
+    # standard error of a sample variance: sqrt((m4 - var^2) / n)
+    stderr = math.sqrt((np.mean((z - z.mean()) ** 4) - var**2) / len(z))
+    assert abs(var - model.llr_variance(lag)) < 4.0 * stderr
 
 
 def test_mc_exp_llr_has_unit_mean_under_pre_law():
@@ -347,3 +364,14 @@ def test_gem_llr_terms_stay_usable_at_extreme_lags():
     assert np.isfinite(lam[0])
     assert lam[1] == -np.inf and lam[2] == -np.inf
     assert not np.any(np.isnan(lam))
+
+
+def test_gem_moments_at_pinned_lags_are_inf():
+    """Lags whose LLR terms are pinned have infinite divergence and variance."""
+    model = GemModel(0.1, 1e4, 0.4)
+    for lag in (900, 2000):
+        assert model.expected_llr(lag) == math.inf
+        assert model.llr_variance(lag) == math.inf
+    assert np.all(model.expected_llr_lags(np.array([900, 2000])) == math.inf)
+    assert model.expected_llr_mismatch(900, 905) == math.inf
+    assert model.expected_llr_mismatch(905, 900) == -math.inf
