@@ -358,7 +358,9 @@ def _cmd_diagnostics(args, out_dir, written):
         "growth_condition": {"satisfied": growth.satisfied, "x_max": growth.x_max},
         "variance_ratio_range": [float(np.min(lemma1.variance_ratio)),
                                  float(np.max(lemma1.variance_ratio))],
+        "variance_ratio_rows_dropped": args.n_max - 1 - len(lemma1.ns),
         "time_shift_min": lemma1.time_shift_min,
+        "time_shift_pinned_lags": lemma1.pinned_lags,
     }
     _write_json(out_dir / "diagnostics.json", payload, written)
     return payload

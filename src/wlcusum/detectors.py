@@ -139,6 +139,31 @@ class _LagBank:
         self.time += 1
         return lam
 
+    def _push_batch(self, lams: np.ndarray, stats: np.ndarray) -> np.ndarray:
+        """``_push`` for a stack of banks in lockstep: (T, L, ...) and one statistic each.
+
+        Row r is the bank of a trial whose observation this step has statistic
+        stats[r]; every entry gets exactly the operations ``_push`` applies, so
+        each row stays bit-identical to a bank stepped on its own. Only the
+        coefficient tables of this bank are used (and grown); its own entries
+        and clock are left alone.
+        """
+        keep = lams.shape[1]
+        if keep == self._cap:
+            if self.window is not None:
+                keep -= 1
+            else:
+                self._cap *= 2
+                self._load_terms()
+        count = keep + 1
+        new = np.empty((len(lams), count, *self._shape))
+        new[:, 0] = 0.0
+        new[:, 1:] = lams[:, :keep]
+        z = self._slopes[:count] * stats.reshape(-1, *(1,) * (new.ndim - 1))
+        z += self._intercepts[:count]  # in place: one temporary per step, not two
+        new += z
+        return new
+
     def _output(self, statistic: float, k_star: int, theta_hat=None) -> DetectorOutput:
         """Record this step's reduced statistic and report it against the threshold."""
         self.statistic = statistic

@@ -197,15 +197,20 @@ class Lemma1Report:
     """Finite-horizon check of the two delay-theory sufficient conditions.
 
     variance_ratio[i] is sum of LLR variances over the first ns[i] post-change
-    steps divided by g(ns[i])^2; the condition wants it tending to 0.
+    steps divided by g(ns[i])^2; the condition wants it tending to 0. The
+    table stops at the last n where both sums are finite, so it can be
+    shorter than asked for (the sums only grow, so the finite rows come first).
     time_shift_min is the minimum over hypothesis lags l and shifts d of
     E[Z_l under lag l+d] - E[Z_l under lag l]; nonnegative means later change
-    points are never harder, the second condition.
+    points are never harder, the second condition. Lags that llr_terms pins
+    (mean +inf under their own lag, so the shift is inf - inf) are left out
+    and counted in pinned_lags.
     """
 
     ns: np.ndarray
     variance_ratio: np.ndarray
     time_shift_min: float
+    pinned_lags: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -227,10 +232,21 @@ def lemma1_diagnostics(
     g = np.array([curve.growth(int(n)) for n in ns])
     if np.any(g <= 0):
         raise ValueError("growth must be positive from n=2 for the variance ratio")
-    ratio = np.cumsum(variances)[1:] / g**2
-    shift_min = math.inf
+    with np.errstate(over="ignore"):
+        spread, scale = np.cumsum(variances)[1:], g**2
+    finite = int(np.count_nonzero(np.isfinite(spread) & np.isfinite(scale)))
+    if finite == 0:
+        raise ValueError("the LLR variance or g(n)^2 is infinite already at n=2")
+    shift_min, pinned = math.inf, 0
     for lag in range(n_max):
         base = model.expected_llr_mismatch(lag, lag)
+        if not math.isfinite(base):
+            pinned += 1
+            continue
         for d in range(1, shift_max + 1):
-            shift_min = min(shift_min, model.expected_llr_mismatch(lag, lag + d) - base)
-    return Lemma1Report(ns=ns, variance_ratio=ratio, time_shift_min=float(shift_min))
+            shift = model.expected_llr_mismatch(lag, lag + d) - base
+            if math.isnan(shift):
+                raise FloatingPointError(f"time shift of lag {lag} by {d} is NaN")
+            shift_min = min(shift_min, shift)
+    return Lemma1Report(ns=ns[:finite], variance_ratio=spread[:finite] / scale[:finite],
+                        time_shift_min=float(shift_min), pinned_lags=pinned)

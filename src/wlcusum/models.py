@@ -87,6 +87,21 @@ class ObservationModel:
         """Scalar statistic t(x); raises SupportError off the support."""
         raise NotImplementedError
 
+    def sufficient_stats(self, xs: np.ndarray) -> np.ndarray:
+        """t(x) over an array, bit-identical to sufficient_stat, without raising.
+
+        Off-support entries come back non-finite (NaN here); a caller that
+        consumes a non-finite entry passes its x through sufficient_stat,
+        which raises or confirms the value.
+        """
+        out = np.full(len(xs), np.nan)
+        for i, x in enumerate(xs):
+            try:
+                out[i] = self.sufficient_stat(x)
+            except SupportError:
+                pass
+        return out
+
     def llr_terms(self, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(slopes, intercepts) with Z(x; lag) = slope * t(x) + intercept."""
         raise NotImplementedError
@@ -230,6 +245,9 @@ class GemModel(ObservationModel):
     def sufficient_stat(self, x: float) -> float:
         return _check_real(x)
 
+    def sufficient_stats(self, xs):
+        return np.asarray(xs, dtype=float)  # t(x) = x; non-finite x stays non-finite
+
     def llr_terms(self, lags):
         lags = np.asarray(lags, dtype=float)
         with np.errstate(over="ignore"):
@@ -298,6 +316,9 @@ class DecayModel(ObservationModel):
 
     def sufficient_stat(self, x: float) -> float:
         return _check_real(x)
+
+    def sufficient_stats(self, xs):
+        return np.asarray(xs, dtype=float)  # t(x) = x; non-finite x stays non-finite
 
     def llr_terms(self, lags):
         means = self._post_mean(lags)

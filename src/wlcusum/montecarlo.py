@@ -1,9 +1,14 @@
 """Monte-Carlo evaluation: false-alarm and delay estimation for detectors.
 
-Trials are independent work items. Trial i draws its observations from a
-dedicated RNG substream keyed by (master seed, i), so results are bit-for-bit
-reproducible no matter how trials are scheduled across workers, and estimates
-are invariant to the worker count. Results are reduced in trial-index order.
+The trials of a chunk run in lockstep: every step updates one stacked
+(trials, lags[, grid]) bank of all live trials at once, an alarmed trial
+leaves the batch, and the ones still live at the step cap are censored
+there. Worker processes only split the trial range into chunks. Trial i
+draws its observations from a dedicated RNG substream keyed by (master seed,
+i), in 512-step blocks, exactly as it would running alone, and each bank row
+gets exactly the operations of a detector's own step. Results are therefore
+bit-for-bit reproducible for any worker count, chunk or batch size, and
+reduced in trial-index order.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from scipy import stats
 
 from .calibration import GlrThresholdInputs, cusum_threshold, window_size
-from .detectors import FullCusum, WlCusum, WlGlr, run_until_alarm
+from .detectors import FullCusum, WlCusum, WlGlr
 from .growth import GrowthCurve
 from .models import ObservationModel
 
@@ -37,6 +42,12 @@ __all__ = [
 ]
 
 _STREAM_BLOCK = 512
+# A lockstep batch holds at most this many trials (its blocks: 1024 x 512 floats)
+# and this many bank entries: one step allocates a few arrays of the bank's
+# size, and on big banks (a 1000-point GLR grid) fresh multi-MB arrays every
+# step cost more in page faults than batching saves.
+_BATCH_TRIALS = 1024
+_BATCH_ENTRIES = 2**15
 _MAX_DEFAULT_STEPS = 10_000_000
 
 _DETECTOR_KINDS = ("wl-cusum", "full-cusum", "wl-glr")
@@ -100,6 +111,11 @@ def _build_detector(plan: TrialPlan):
 
 
 def _stream(model, rng, nu, max_steps, block=_STREAM_BLOCK):
+    """One trial's observations, drawn block by block as they are needed.
+
+    The reference for ``_lockstep``, which draws the same blocks for every
+    live trial at once.
+    """
     produced = 0
     while produced < max_steps:
         k = min(block, max_steps - produced)
@@ -108,16 +124,73 @@ def _stream(model, rng, nu, max_steps, block=_STREAM_BLOCK):
         produced += k
 
 
+def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
+    """Trials start .. stop - 1 stepped together: one bank update per step for all live ones.
+
+    Row r of the (T, L[, G]) bank and entry r of the RNG list belong to trial
+    live[r]. A trial leaves the batch when it alarms; the ones still live at
+    max_steps are censored there. Blocks are drawn only at block boundaries
+    and only for live trials, exactly as ``_stream`` draws them for one trial,
+    so every trial sees the observations it would see alone.
+    """
+    model, threshold = plan.model, detector.threshold
+    times = np.full(stop - start, max_steps, dtype=np.int64)
+    censored = np.ones(stop - start, dtype=bool)
+    live = np.arange(stop - start)
+    rngs = [np.random.default_rng([plan.seed, i]) for i in range(start, stop)]
+    lams = np.empty((len(live), 0, *detector._shape))
+    # a statistic is 0 when every hypothesis is negative, so nothing but the
+    # bank max can stop a trial when b > 0, and everything does when b <= 0
+    floor = threshold if threshold > 0.0 else -math.inf
+    for n in range(1, max_steps + 1):
+        j = (n - 1) % _STREAM_BLOCK
+        if j == 0:
+            k = min(_STREAM_BLOCK, max_steps - n + 1)
+            # (k, T): row j holds step n of every trial live at the boundary;
+            # the old block goes first, so at most one is held at a time
+            block = stats = None
+            block = np.empty((k, len(rngs)))
+            for r, rng in enumerate(rngs):
+                block[:, r] = model.sample_segment(rng, plan.nu, n, k)
+            stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
+            unchecked = ~np.isfinite(stats).all(axis=1)
+            rows = np.arange(len(live))  # block column of each live trial
+        s = stats[j][rows]
+        if unchecked[j]:
+            # off the support or a genuine infinity: the scalar hook decides, as a step would
+            s = np.array([v if math.isfinite(v) else model.sufficient_stat(x)
+                          for x, v in zip(block[j][rows], s)])
+        lams = detector._push_batch(lams, s)
+        top = lams.max()
+        if top < floor:
+            continue
+        best = lams.reshape(len(lams), -1).max(axis=1)
+        if math.isnan(top):
+            bad = int(live[np.isnan(best)][0]) + start
+            raise FloatingPointError(f"NaN in the hypothesis bank of trial {bad} at step {n}")
+        alarm = np.maximum(best, 0.0) >= threshold
+        if not alarm.any():
+            continue
+        times[live[alarm]] = n
+        censored[live[alarm]] = False
+        stay = ~alarm
+        if not stay.any():
+            break
+        live, lams, rows = live[stay], lams[stay], rows[stay]
+        rngs = [rng for rng, kept in zip(rngs, stay) if kept]
+    return times, censored
+
+
 def _run_chunk(plan: TrialPlan, start: int, stop: int, max_steps: int):
     times = np.empty(stop - start, dtype=np.int64)
     censored = np.empty(stop - start, dtype=bool)
-    detector = _build_detector(plan)  # its coefficient tables serve every trial
-    for i in range(start, stop):
-        rng = np.random.default_rng([plan.seed, i])
-        detector.reset()
-        rec = run_until_alarm(detector, _stream(plan.model, rng, plan.nu, max_steps), max_steps)
-        times[i - start] = rec.time
-        censored[i - start] = rec.censored
+    detector = _build_detector(plan)  # its coefficient tables serve every batch
+    entries = detector._cap * math.prod(detector._shape)  # per trial; full banks grow on
+    size = max(1, min(_BATCH_TRIALS, _BATCH_ENTRIES // entries))
+    for lo in range(start, stop, size):
+        hi = min(lo + size, stop)
+        times[lo - start : hi - start], censored[lo - start : hi - start] = _lockstep(
+            detector, plan, lo, hi, max_steps)
     return times, censored
 
 
@@ -132,7 +205,9 @@ def run_trials(plan: TrialPlan) -> tuple[np.ndarray, np.ndarray]:
     n = int(plan.num_trials)
     if plan.workers == 1:
         return _run_chunk(plan, 0, n, max_steps)
-    chunk = max(1, math.ceil(n / (plan.workers * 4)))
+    # one chunk per worker: a lockstep batch pays its per-step cost until its
+    # longest trial ends, so fewer, larger batches do less work in total
+    chunk = max(1, math.ceil(n / plan.workers))
     bounds = [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
     times = np.empty(n, dtype=np.int64)
     censored = np.empty(n, dtype=bool)

@@ -243,6 +243,22 @@ class TestDiagnostics:
         lemma = (out / "lemma1.csv").read_text().splitlines()
         assert len(lemma) == 20  # header + n = 2..20
 
+    def test_overflowing_rows_dropped_and_counted(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, payload, err = _run(
+            capsys, ["diagnostics", *GEM, "--x-max", "1e3", "--n-max", "1000",
+                     "--out", str(out)]
+        )
+        assert code == 0, err
+        summary = json.loads((out / "diagnostics.json").read_text(),
+                             parse_constant=lambda c: pytest.fail(f"{c} in diagnostics.json"))
+        assert summary["variance_ratio_rows_dropped"] == 1000 - 462
+        assert summary["time_shift_pinned_lags"] == 112
+        assert 0.0 < summary["variance_ratio_range"][0] <= summary["variance_ratio_range"][1]
+        rows = (out / "lemma1.csv").read_text().splitlines()
+        assert len(rows) == 462  # header + n = 2..462
+        assert not any("nan" in r or r.endswith(",0.0") for r in rows)
+
     def test_betawave_reports_written(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, err = _run(

@@ -219,6 +219,27 @@ class TestFullCusum:
         assert full.time <= wl.time
 
 
+@pytest.mark.parametrize("kind", ["WlCusum", "FullCusum", "WlGlr"])
+@pytest.mark.parametrize("model", [GemModel(0.1, 1e4, 0.4), BetaWaveModel(2.0, 3.0, COUNTY_THETA)],
+                         ids=["gem", "betawave"])
+def test_push_batch_is_bitwise_push(kind, model):
+    # rows of a lockstep bank drop out as trials alarm; FullCusum outgrows its tables
+    rng = np.random.default_rng(29)
+    xs = model.sample_segment(rng, 50, 1, 6 * 150).reshape(6, 150)
+    banks = [DETECTORS[kind](model, 7) for _ in range(6)]
+    shared = DETECTORS[kind](model, 7)
+    stack = np.empty((6, 0, *shared._shape))
+    live = list(range(6))
+    for j in range(150):
+        for r in live:
+            banks[r]._push(xs[r, j])
+        stack = shared._push_batch(stack, model.sufficient_stats(xs[live, j]))
+        for row, r in enumerate(live):
+            assert stack[row].tobytes() == banks[r]._lam.tobytes()
+        if j % 40 == 39:
+            stack, live = stack[1:], live[1:]
+
+
 class TestThetaGrid:
     def test_scalar_box_midpoints(self):
         np.testing.assert_allclose(

@@ -169,6 +169,18 @@ def test_lemma1_report_dict_and_validation():
         lemma1_diagnostics(GemModel(1.0, 1.0, 1.0), n_max=1)
 
 
+def test_lemma1_stops_where_gem_sums_overflow():
+    # theta = 0.4: g(n)^2 overflows from n = 463, llr_terms pins lags 888 and up
+    report = lemma1_diagnostics(GemModel(0.1, 1e4, 0.4), n_max=1000)
+    assert list(report.ns) == list(range(2, 463))
+    assert np.all(np.isfinite(report.variance_ratio))
+    assert np.all(report.variance_ratio > 0.0)
+    assert report.pinned_lags == 1000 - 888
+    assert report.time_shift_min == 0.0  # lag 0 has slope 0; no NaN slipped past min
+    payload = report.as_dict()
+    assert len(payload["n"]) == len(payload["variance_ratio"]) == 461
+
+
 def test_betawave_growth_warns_past_peak():
     model = BetaWaveModel(20.6, 2.94e5, (0.464, 3.894, 0.445))
     curve = GrowthCurve(model)

@@ -293,6 +293,30 @@ def test_gem_sufficient_stat_rejects_non_finite():
             model.sufficient_stat(bad)
 
 
+@pytest.mark.parametrize("model", [
+    GemModel(0.1, 1e4, 0.4),
+    DecayModel(2.0, 4.0, 0.2),
+    BetaWaveModel(20.6, 2.94e5, COUNTY_THETA),
+    BetaWaveModel(2.0, 3.0, COUNTY_THETA),
+], ids=["gem", "decay", "betawave-county", "betawave-wide"])
+def test_sufficient_stats_bit_identical_to_scalar(model):
+    xs = model.sample_segment(np.random.default_rng(17), 19_500, 1, 20_000)
+    want = np.array([model.sufficient_stat(x) for x in xs])
+    got = model.sufficient_stats(xs)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()  # np.log differs from math.log in the last ulp
+
+
+@pytest.mark.parametrize("model, bad", [
+    (GemModel(1.0, 1.0, 1.0), [math.nan, math.inf, -math.inf]),
+    (BetaWaveModel(20.6, 2.94e5, COUNTY_THETA), [0.0, 1.0, -0.1, 1.5, math.nan]),
+], ids=["gem", "betawave"])
+def test_sufficient_stats_marks_off_support_without_raising(model, bad):
+    got = model.sufficient_stats(np.array([0.5, *bad, 0.25]))
+    assert np.isfinite(got[[0, -1]]).all()
+    assert not np.isfinite(got[1:-1]).any()
+
+
 def test_support_error_is_a_value_error():
     assert issubclass(SupportError, ValueError)
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from conftest import ShiftModel
 
 from wlcusum import montecarlo
 from wlcusum.calibration import GlrThresholdInputs
-from wlcusum.detectors import WlGlr, run_until_alarm
-from wlcusum.models import DecayModel, GemModel
+from wlcusum.detectors import WlGlr, run_until_alarm, theta_grid
+from wlcusum.models import BetaWaveModel, DecayModel, GemModel, SupportError
 from wlcusum.montecarlo import (
     DelayEstimate,
     TrialPlan,
@@ -25,6 +26,7 @@ from wlcusum.montecarlo import (
 )
 
 GEM = GemModel(0.1, 1e4, 0.4)
+COUNTY = BetaWaveModel(20.6, 2.94e5, (0.464, 3.894, 0.445))
 
 
 def _plan(**kw):
@@ -100,6 +102,131 @@ class TestRunTrials:
             stream = montecarlo._stream(GEM, np.random.default_rng([plan.seed, i]), plan.nu, max_steps)
             rec = run_until_alarm(fresh, stream, max_steps)
             assert (times[i], censored[i]) == (rec.time, rec.censored)
+
+
+def _streamed(plan):
+    """run_trials by the streaming reference: a fresh detector per trial, fed by _stream."""
+    max_steps = plan.resolved_max_steps()
+    records = [
+        run_until_alarm(
+            montecarlo._build_detector(plan),
+            montecarlo._stream(plan.model, np.random.default_rng([plan.seed, i]), plan.nu,
+                               max_steps),
+            max_steps,
+        )
+        for i in range(plan.num_trials)
+    ]
+    return (np.array([r.time for r in records], dtype=np.int64),
+            np.array([r.censored for r in records]))
+
+
+class _Spikes:
+    """Draws carry fixed values at given times (1-based), in every trial."""
+
+    def sample_segment(self, rng, nu, start, length):
+        out = super().sample_segment(rng, nu, start, length)
+        for n, x in self.spikes:
+            if start <= n < start + length:
+                out[n - start] = x
+        return out
+
+
+@dataclass(frozen=True)
+class SpikedGem(_Spikes, GemModel):
+    spikes: tuple = ()
+
+
+@dataclass(frozen=True)
+class SpikedWave(_Spikes, BetaWaveModel):
+    spikes: tuple = ()
+
+
+class TestLockstepMatchesStreaming:
+    """Lockstep batches give the stopping times of one trial at a time, bit for bit."""
+
+    @pytest.mark.parametrize("kw", [
+        # false-alarm runs: long, random lengths, several 512-step blocks
+        dict(nu=math.inf, window=23, threshold=math.log(100), num_trials=30),
+        dict(nu=math.inf, detector="full-cusum", window=None, threshold=math.log(100),
+             num_trials=12),  # outgrows the initial 64-entry tables
+        dict(nu=math.inf, detector="wl-glr", grid=np.linspace(0.1, 0.5, 5), window=23,
+             threshold=math.log(300), num_trials=12),
+        # delay runs, with pre-change steps when nu > 1
+        dict(nu=1, threshold=math.log(1e3), window=25),
+        dict(nu=30, model=DecayModel(2.0, 4.0, 0.2), threshold=4.0, window=12),
+        dict(nu=30, detector="full-cusum", window=None, threshold=math.log(1e3)),
+        dict(nu=8, model=BetaWaveModel(5.0, 20.0, (0.5, 10.0, 4.0)), detector="wl-glr",
+             window=20, threshold=5.0, max_steps=300,
+             grid=theta_grid(((0.0, 1.0), (5.0, 15.0), (1.0, 5.0)), (2, 2, 2))),
+        # censoring at an explicit cap that cuts the second block short
+        dict(nu=math.inf, window=23, threshold=8.0, max_steps=600, num_trials=15),
+        dict(nu=math.inf, detector="full-cusum", window=None, threshold=8.0, max_steps=600,
+             num_trials=6),
+        # a threshold <= 0 alarms on the first observation
+        dict(nu=math.inf, window=23, threshold=0.0, num_trials=5),
+        dict(nu=math.inf, model=DecayModel(2.0, 4.0, 0.2), window=12, threshold=0.0,
+             num_trials=1),  # its first bank is negative; the statistic 0 still meets b
+        dict(nu=math.inf, detector="wl-glr", grid=np.linspace(0.1, 0.5, 5), window=23,
+             threshold=-1.0, num_trials=5),
+        # chunks split across two workers
+        dict(nu=math.inf, window=23, threshold=math.log(100), num_trials=20, workers=2),
+        dict(nu=math.inf, detector="wl-glr", grid=np.linspace(0.1, 0.5, 5), window=23,
+             threshold=math.log(300), num_trials=12, workers=2),
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()
+                               if k in ("detector", "nu", "max_steps", "workers")))
+    def test_bit_identical(self, kw):
+        plan = _plan(**kw)
+        times, censored = run_trials(plan)
+        want_times, want_censored = _streamed(plan)
+        np.testing.assert_array_equal(times, want_times)
+        np.testing.assert_array_equal(censored, want_censored)
+        assert len(set(times.tolist())) > 1 or plan.threshold <= 0 or censored.all()
+
+    def test_batch_size_does_not_change_results(self, monkeypatch):
+        plan = _plan(nu=math.inf, window=23, threshold=math.log(100), num_trials=20)
+        whole = run_trials(plan)
+        monkeypatch.setattr(montecarlo, "_BATCH_TRIALS", 3)
+        split = run_trials(plan)
+        np.testing.assert_array_equal(whole[0], split[0])
+        np.testing.assert_array_equal(whole[1], split[1])
+
+    def test_infinite_statistic_alarms(self):
+        # 1e308 overflows the older hypotheses to +inf, which meets even b = inf
+        model = SpikedGem(0.1, 1e4, 0.4, spikes=((40, 1e308),))
+        plan = _plan(model=model, nu=math.inf, threshold=math.inf, window=1000, num_trials=3,
+                     max_steps=2000)
+        with np.errstate(over="ignore"):
+            times, censored = run_trials(plan)
+            want = _streamed(plan)
+        np.testing.assert_array_equal(times, [40, 40, 40])
+        np.testing.assert_array_equal(times, want[0])
+        assert not censored.any()
+
+    def test_nan_in_bank_raises(self):
+        # -1e308 drives the older hypotheses to -inf and +1e308 next adds +inf to
+        # them: NaN in the step that also gives the first +inf entries, so the
+        # bank max is NaN, and the batch must raise rather than alarm or censor
+        model = SpikedGem(0.1, 1e4, 0.4, spikes=((40, -1e308), (41, 1e308)))
+        plan = _plan(model=model, nu=math.inf, threshold=math.inf, window=1000, num_trials=3,
+                     max_steps=2000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="trial 0 at step 41"):
+                run_trials(plan)
+
+    @pytest.mark.parametrize("model", [
+        SpikedGem(0.1, 1e4, 0.4, spikes=((300, math.inf),)),
+        SpikedWave(COUNTY.a0, COUNTY.b0, COUNTY.theta, spikes=((300, 1.0),)),
+    ], ids=["gem", "betawave"])
+    def test_support_error_only_for_consumed_draws(self, model):
+        # every trial alarms before step 300: the bad draw never reaches a bank
+        early = _plan(model=model, nu=1, threshold=0.5, window=5, num_trials=4)
+        times, _ = run_trials(early)
+        assert times.max() < 300
+        np.testing.assert_array_equal(times, _streamed(early)[0])
+        late = _plan(model=model, nu=math.inf, threshold=1e9, window=5, num_trials=4,
+                     max_steps=400)
+        with pytest.raises(SupportError):
+            run_trials(late)
 
 
 class TestResolvedMaxSteps:
