@@ -5,16 +5,17 @@ hypothesized change point k. All implemented models have LLR coefficients that
 depend on (n, k) only through the lag n - k, so the sums are stored in lag
 order (entry 0 is the newest hypothesis k = n) and one vectorized multiply-add
 per step updates the whole bank. ``_LagBank`` owns that array, its window, the
-coefficient tables from ``llr_terms``, the step counter and the update; each
-detector is the bank plus a reduction:
+coefficient tables from ``llr_terms``, the step counter and the update, which
+Monte Carlo reuses to advance many trials' banks at once; each detector is
+the bank plus a reduction:
 
 - ``WlCusum``: the bank windowed to the newest m + 1 hypotheses, reduced by
   the max, so per-step work is capped at O(m);
 - ``FullCusum``: the same bank with no window, the exact O(n) reference whose
   statistic cannot be simplified into a one-number recursion once the
   post-change family drifts with the lag;
-- ``WlGlr``: a windowed (m + 1, G) bank with one column per theta grid point,
-  reduced by the max over lags and grid points;
+- ``WlGlr``: a windowed bank with one column per theta grid point, reduced
+  by the max over lags and grid points;
 - ``SrStatistic``: the full bank reduced by log-sum-exp (Shiryaev-Roberts).
 
 Detectors remain steppable after an alarm: the alarm flag is reported per
@@ -76,11 +77,14 @@ def _bank_argmax(lam: np.ndarray, n: int) -> tuple[float, int]:
 
     Returns (statistic, k_star) where statistic = max(0, max lambda). The
     empty hypothesis (value 0, index n+1) wins only when every real
-    hypothesis is strictly negative.
+    hypothesis is strictly negative. A NaN max (+inf met -inf in some entry)
+    raises FloatingPointError: it is neither an alarm nor "no change".
     """
     best = float(lam.max())
     if best < 0.0:
         return 0.0, n + 1
+    if math.isnan(best):
+        raise FloatingPointError(f"NaN in the hypothesis bank at step {n}")
     # smallest k == largest lag; ties resolved toward the oldest hypothesis
     i = int(np.flatnonzero(lam == best)[-1])
     return best, n - i
@@ -89,11 +93,13 @@ def _bank_argmax(lam: np.ndarray, n: int) -> tuple[float, int]:
 class _LagBank:
     """Lag-ordered LLR sums: entry i on the first axis is hypothesis k = time - i.
 
-    The bank is 1-D for a single model, or (L, G) with one column per theta
-    of ``grid`` (each built by overriding the model's theta). With
-    window=None it keeps every hypothesis since the last reset and doubles its
-    coefficient tables as the history outgrows them; otherwise hypotheses
-    older than the window are evicted, so L <= window + 1.
+    The bank is (L, 1) for a single model, or (L, 1, G) with one column per
+    theta of ``grid`` (each built by overriding the model's theta). The unit
+    axis is the trial axis: a lockstep Monte Carlo chunk holds (L, T[, G]) for
+    T trials and advances it with the same ``_advance`` as a detector's own
+    step. With window=None the bank keeps every hypothesis since the last
+    reset and doubles its coefficient tables as the history outgrows them;
+    otherwise hypotheses older than the window are evicted, so L <= window + 1.
     """
 
     def __init__(self, model: ObservationModel, threshold: float, window: int | None, grid=None):
@@ -111,58 +117,45 @@ class _LagBank:
     def _load_terms(self):
         lags = np.arange(self._cap)
         slopes, intercepts = zip(*(m.llr_terms(lags) for m in self._models))
-        shape = (self._cap, *self._shape)
+        shape = (self._cap, 1, *self._shape)
         self._slopes = np.ascontiguousarray(np.transpose(slopes), dtype=float).reshape(shape)
         self._intercepts = np.ascontiguousarray(np.transpose(intercepts), dtype=float).reshape(shape)
+        # -0.0 -> +0.0: a new hypothesis is 0 + Z, never -0.0 (GEM's lag-0 intercept is -0.0)
+        self._intercepts[0] += 0.0
 
     def reset(self):
         self.time = 0
         self.statistic = 0.0
-        self._lam = np.empty((0, *self._shape))
+        self._lam = np.empty((0, 1, *self._shape))
 
-    def _push(self, x: float) -> np.ndarray:
-        """Prepend the hypothesis k = n and add Z(x; lag) to every entry."""
-        s = self.model.sufficient_stat(x)  # raises off-support, state unchanged
-        keep = len(self._lam)
+    def _advance(self, lam: np.ndarray, s) -> np.ndarray:
+        """Prepend the hypothesis k = n to (L, T[, G]) banks and add Z(s; lag) to every entry.
+
+        s is one sufficient statistic, or one per trial shaped (T[, 1]). The
+        result is one new array: Z = slope * s + intercept at every lag, plus
+        the old bank at lags 1 and up. Entry 0, the new hypothesis, is Z
+        alone, bit-equal to 0 + Z because the lag-0 intercept is stored as
+        +0.0. Evicts past the window, or grows the shared coefficient tables;
+        the bank's own entries and clock are left alone.
+        """
+        keep = len(lam)
         if keep == self._cap:
             if self.window is not None:
                 keep -= 1  # evict the oldest hypothesis
             else:
                 self._cap *= 2
                 self._load_terms()
-        count = keep + 1
-        lam = np.empty((count, *self._shape))
-        lam[0] = 0.0
-        lam[1:] = self._lam[:keep]
-        lam += self._slopes[:count] * s + self._intercepts[:count]
-        self._lam = lam
+        z = self._slopes[: keep + 1] * s
+        z += self._intercepts[: keep + 1]
+        z[1:] += lam[:keep]
+        return z
+
+    def _push(self, x: float) -> np.ndarray:
+        """Advance this bank by one observation; returns the (L, 1[, G]) bank."""
+        s = self.model.sufficient_stat(x)  # raises off-support, state unchanged
+        self._lam = lam = self._advance(self._lam, s)
         self.time += 1
         return lam
-
-    def _push_batch(self, lams: np.ndarray, stats: np.ndarray) -> np.ndarray:
-        """``_push`` for a stack of banks in lockstep: (T, L, ...) and one statistic each.
-
-        Row r is the bank of a trial whose observation this step has statistic
-        stats[r]; every entry gets exactly the operations ``_push`` applies, so
-        each row stays bit-identical to a bank stepped on its own. Only the
-        coefficient tables of this bank are used (and grown); its own entries
-        and clock are left alone.
-        """
-        keep = lams.shape[1]
-        if keep == self._cap:
-            if self.window is not None:
-                keep -= 1
-            else:
-                self._cap *= 2
-                self._load_terms()
-        count = keep + 1
-        new = np.empty((len(lams), count, *self._shape))
-        new[:, 0] = 0.0
-        new[:, 1:] = lams[:, :keep]
-        z = self._slopes[:count] * stats.reshape(-1, *(1,) * (new.ndim - 1))
-        z += self._intercepts[:count]  # in place: one temporary per step, not two
-        new += z
-        return new
 
     def _output(self, statistic: float, k_star: int, theta_hat=None) -> DetectorOutput:
         """Record this step's reduced statistic and report it against the threshold."""
@@ -183,7 +176,7 @@ class WlCusum(_LagBank):
     def hypotheses(self) -> list[tuple[int, float]]:
         """Active (k, lambda_{n,k}) pairs, newest hypothesis first."""
         n = self.time
-        return [(n - lag, float(v)) for lag, v in enumerate(self._lam)]
+        return [(n - lag, float(v)) for lag, v in enumerate(self._lam[:, 0])]
 
     def step(self, x: float) -> DetectorOutput:
         return self._output(*_bank_argmax(self._push(x), self.time))
@@ -263,11 +256,11 @@ class WlGlr(_LagBank):
     def step(self, x: float) -> DetectorOutput:
         lam = self._push(x)
         n = self.time
-        statistic, k_star = _bank_argmax(lam.max(axis=1), n)
+        statistic, k_star = _bank_argmax(lam.max(axis=2), n)
         theta_hat = None
         if k_star <= n:
             # grid points are lexicographically ordered; argmax takes the first
-            theta_hat = self.grid[int(np.argmax(lam[n - k_star]))]
+            theta_hat = self.grid[int(np.argmax(lam[n - k_star, 0]))]
         return self._output(statistic, k_star, theta_hat)
 
 

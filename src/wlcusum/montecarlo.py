@@ -1,9 +1,10 @@
 """Monte-Carlo evaluation: false-alarm and delay estimation for detectors.
 
-The trials of a chunk run in lockstep: every step updates one stacked
-(trials, lags[, grid]) bank of all live trials at once, an alarmed trial
-leaves the batch, and the ones still live at the step cap are censored
-there. Worker processes only split the trial range into chunks. Trial i
+The trials of a chunk run in lockstep: every step updates one
+(lags, trials[, grid]) bank of all live trials at once, with the same
+``_advance`` a detector's own step uses on its (lags, 1[, grid]) bank; an
+alarmed trial leaves the batch, and the ones still live at the step cap are
+censored there. Worker processes only split the trial range into chunks. Trial i
 draws its observations from a dedicated RNG substream keyed by (master seed,
 i), in 512-step blocks, exactly as it would running alone, and each bank row
 gets exactly the operations of a detector's own step. Results are therefore
@@ -110,35 +111,23 @@ def _build_detector(plan: TrialPlan):
     return WlGlr(plan.model, plan.threshold, plan.window, plan.grid)
 
 
-def _stream(model, rng, nu, max_steps, block=_STREAM_BLOCK):
-    """One trial's observations, drawn block by block as they are needed.
-
-    The reference for ``_lockstep``, which draws the same blocks for every
-    live trial at once.
-    """
-    produced = 0
-    while produced < max_steps:
-        k = min(block, max_steps - produced)
-        seg = model.sample_segment(rng, nu, produced + 1, k)
-        yield from seg
-        produced += k
-
-
 def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
     """Trials start .. stop - 1 stepped together: one bank update per step for all live ones.
 
-    Row r of the (T, L[, G]) bank and entry r of the RNG list belong to trial
-    live[r]. A trial leaves the batch when it alarms; the ones still live at
-    max_steps are censored there. Blocks are drawn only at block boundaries
-    and only for live trials, exactly as ``_stream`` draws them for one trial,
-    so every trial sees the observations it would see alone.
+    Column r of the (L, T[, G]) bank and entry r of the RNG list belong to
+    trial live[r]. A trial leaves the batch when it alarms; the ones still
+    live at max_steps are censored there. Blocks are drawn only at block
+    boundaries and only for live trials, exactly as one trial running alone
+    draws them, so every trial sees the observations it would see alone.
     """
     model, threshold = plan.model, detector.threshold
     times = np.full(stop - start, max_steps, dtype=np.int64)
     censored = np.ones(stop - start, dtype=bool)
     live = np.arange(stop - start)
     rngs = [np.random.default_rng([plan.seed, i]) for i in range(start, stop)]
-    lams = np.empty((len(live), 0, *detector._shape))
+    lams = np.empty((0, len(live), *detector._shape))
+    unit = (1,) * len(detector._shape)  # one statistic per trial, broadcast over the grid
+    lag_and_grid = (0, *range(2, lams.ndim))
     # a statistic is 0 when every hypothesis is negative, so nothing but the
     # bank max can stop a trial when b > 0, and everything does when b <= 0
     floor = threshold if threshold > 0.0 else -math.inf
@@ -160,11 +149,11 @@ def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
             # off the support or a genuine infinity: the scalar hook decides, as a step would
             s = np.array([v if math.isfinite(v) else model.sufficient_stat(x)
                           for x, v in zip(block[j][rows], s)])
-        lams = detector._push_batch(lams, s)
+        lams = detector._advance(lams, s.reshape(-1, *unit))
         top = lams.max()
         if top < floor:
             continue
-        best = lams.reshape(len(lams), -1).max(axis=1)
+        best = lams.max(axis=lag_and_grid)
         if math.isnan(top):
             bad = int(live[np.isnan(best)][0]) + start
             raise FloatingPointError(f"NaN in the hypothesis bank of trial {bad} at step {n}")
@@ -176,7 +165,7 @@ def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
         stay = ~alarm
         if not stay.any():
             break
-        live, lams, rows = live[stay], lams[stay], rows[stay]
+        live, lams, rows = live[stay], lams[:, stay], rows[stay]
         rngs = [rng for rng, kept in zip(rngs, stay) if kept]
     return times, censored
 

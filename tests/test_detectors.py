@@ -223,21 +223,39 @@ class TestFullCusum:
 @pytest.mark.parametrize("model", [GemModel(0.1, 1e4, 0.4), BetaWaveModel(2.0, 3.0, COUNTY_THETA)],
                          ids=["gem", "betawave"])
 def test_push_batch_is_bitwise_push(kind, model):
-    # rows of a lockstep bank drop out as trials alarm; FullCusum outgrows its tables
+    # a lockstep (L, T[, G]) stack advanced by the one bank update: each column
+    # stays byte-equal to a bank stepped alone, as columns drop out when trials
+    # alarm and as FullCusum outgrows its tables
     rng = np.random.default_rng(29)
     xs = model.sample_segment(rng, 50, 1, 6 * 150).reshape(6, 150)
     banks = [DETECTORS[kind](model, 7) for _ in range(6)]
     shared = DETECTORS[kind](model, 7)
-    stack = np.empty((6, 0, *shared._shape))
+    unit = (1,) * len(shared._shape)
+    stack = np.empty((0, 6, *shared._shape))
     live = list(range(6))
     for j in range(150):
         for r in live:
             banks[r]._push(xs[r, j])
-        stack = shared._push_batch(stack, model.sufficient_stats(xs[live, j]))
-        for row, r in enumerate(live):
-            assert stack[row].tobytes() == banks[r]._lam.tobytes()
+        stack = shared._advance(stack, model.sufficient_stats(xs[live, j]).reshape(-1, *unit))
+        for col, r in enumerate(live):
+            assert stack[:, col].tobytes() == banks[r]._lam[:, 0].tobytes()
         if j % 40 == 39:
-            stack, live = stack[1:], live[1:]
+            stack, live = stack[:, 1:], live[1:]
+
+
+@pytest.mark.parametrize("kind", DETECTORS)
+def test_nan_bank_raises(kind):
+    # -1e308 drives the older hypotheses to -inf and +1e308 next adds +inf to
+    # them: the bank max is NaN, which is neither an alarm nor "no change"
+    model = GemModel(0.1, 1e4, 0.4)
+    xs = [*model.sample_segment(np.random.default_rng(7), math.inf, 1, 39), -1e308, 1e308]
+    det = DETECTORS[kind](model, 1000)
+    det.threshold = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in xs[:40]:
+            det.step(x)
+        with pytest.raises(FloatingPointError, match="at step 41"):
+            det.step(xs[40])
 
 
 class TestThetaGrid:

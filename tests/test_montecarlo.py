@@ -14,6 +14,7 @@ from wlcusum.calibration import GlrThresholdInputs
 from wlcusum.detectors import WlGlr, run_until_alarm, theta_grid
 from wlcusum.models import BetaWaveModel, DecayModel, GemModel, SupportError
 from wlcusum.montecarlo import (
+    _STREAM_BLOCK,
     DelayEstimate,
     TrialPlan,
     estimate_add,
@@ -27,6 +28,20 @@ from wlcusum.montecarlo import (
 
 GEM = GemModel(0.1, 1e4, 0.4)
 COUNTY = BetaWaveModel(20.6, 2.94e5, (0.464, 3.894, 0.445))
+
+
+def _stream(model, rng, nu, max_steps, block=_STREAM_BLOCK):
+    """One trial's observations, drawn block by block as they are needed.
+
+    The reference for ``montecarlo._lockstep``, which draws the same blocks
+    for every live trial at once.
+    """
+    produced = 0
+    while produced < max_steps:
+        k = min(block, max_steps - produced)
+        seg = model.sample_segment(rng, nu, produced + 1, k)
+        yield from seg
+        produced += k
 
 
 def _plan(**kw):
@@ -99,7 +114,7 @@ class TestRunTrials:
         max_steps = plan.resolved_max_steps()
         for i in range(plan.num_trials):
             fresh = WlGlr(GEM, plan.threshold, plan.window, plan.grid)
-            stream = montecarlo._stream(GEM, np.random.default_rng([plan.seed, i]), plan.nu, max_steps)
+            stream = _stream(GEM, np.random.default_rng([plan.seed, i]), plan.nu, max_steps)
             rec = run_until_alarm(fresh, stream, max_steps)
             assert (times[i], censored[i]) == (rec.time, rec.censored)
 
@@ -110,8 +125,7 @@ def _streamed(plan):
     records = [
         run_until_alarm(
             montecarlo._build_detector(plan),
-            montecarlo._stream(plan.model, np.random.default_rng([plan.seed, i]), plan.nu,
-                               max_steps),
+            _stream(plan.model, np.random.default_rng([plan.seed, i]), plan.nu, max_steps),
             max_steps,
         )
         for i in range(plan.num_trials)
