@@ -1,15 +1,15 @@
 """Monte-Carlo evaluation: false-alarm and delay estimation for detectors.
 
 The trials of a chunk run in lockstep: every step updates one
-(lags, trials[, grid]) bank of all live trials at once, with the same
-``_advance`` a detector's own step uses on its (lags, 1[, grid]) bank; an
-alarmed trial leaves the batch, and the ones still live at the step cap are
-censored there. Worker processes only split the trial range into chunks. Trial i
-draws its observations from a dedicated RNG substream keyed by (master seed,
-i), in 512-step blocks, exactly as it would running alone, and each bank row
-gets exactly the operations of a detector's own step. Results are therefore
-bit-for-bit reproducible for any worker count, chunk or batch size, and
-reduced in trial-index order.
+(lags, trials[, grid]) bank of all live trials at once, through the same
+``_advance`` that a detector's own step applies to its (lags, 1[, grid])
+bank. An alarmed trial leaves the batch, and the ones still live at the step
+cap are censored there. Worker processes only split the trial range into
+chunks. Trial i draws its observations from a dedicated RNG substream keyed
+by (master seed, i), in 512-step blocks, exactly as it would running alone,
+and each trial's column of the bank gets exactly the operations of a
+detector's own step. Results are therefore bit-for-bit reproducible for any
+worker count, chunk or batch size, and reduced in trial-index order.
 """
 
 from __future__ import annotations
