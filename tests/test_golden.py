@@ -6,15 +6,19 @@ and its floats (statistics, theta estimates, thresholds, delay means), as repr
 strings, into a second one; both are frozen in ``golden/digests.json``. A
 changed digest means a changed result. The float digest rests on the
 platform's libm as well as on this code, so it is kept apart from the
-integer one.
+integer one. The ``cli-*`` cases run one subcommand each through
+``cli.main`` and hash its stdout and the bytes of every file it writes
+except ``run_manifest.json`` (which records the wall time and versions).
 
 After a deliberate change of results, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py --update
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -107,6 +111,47 @@ def _monitor_epi(tmp_path):
     return ints, floats
 
 
+GEM_FLAGS = ["--model", "gem", "--mu0", "0.1", "--sigma0-sq", "1e4", "--theta", "0.4"]
+EPI_FLAGS = [
+    "--input", str(REPO / "demos" / "data" / "synthetic_county.csv"), "--population", "1e6",
+    "--start-date", "2020-07-01", "--theta-box", "0.1:5,1:20,0.1:5",
+]
+SIM_FLAGS = ["--workers", "1"]
+CLI_CASES = {
+    "cli-calibrate": ["calibrate", *GEM_FLAGS, "--alpha", "1e-3"],
+    "cli-calibrate-glr": ["calibrate", *GEM_FLAGS, "--alpha", "1e-3", "--theta-box", "0:0.5",
+                          "--epsilon", "5.5"],
+    "cli-simulate-oc-wl-cusum": ["simulate-oc", *GEM_FLAGS, "--alphas", "1e-1,1e-2", "--nu", "1",
+                                 "--trials", "10", "--seed", "3", *SIM_FLAGS],
+    "cli-simulate-oc-wl-glr": ["simulate-oc", *GEM_FLAGS, "--detector", "wl-glr",
+                               "--theta-box", "0:0.5", "--alphas", "1e-1,1e-2", "--nu", "1",
+                               "--trials", "6", "--seed", "3", *SIM_FLAGS],
+    "cli-simulate-qq": ["simulate-qq", *GEM_FLAGS, "--threshold", repr(math.log(20.0)),
+                        "--window", "25", "--trials", "120", "--seed", "2", *SIM_FLAGS],
+    "cli-estimate-mtfa": ["estimate-mtfa", *GEM_FLAGS, "--alpha", "1e-2", "--window", "25",
+                          "--trials", "6", "--seed", "1", "--max-steps", "300", *SIM_FLAGS],
+    "cli-estimate-add": ["estimate-add", *GEM_FLAGS, "--alpha", "1e-2", "--nu", "1",
+                         "--window", "10", "--trials", "8", "--seed", "5", *SIM_FLAGS],
+    "cli-diagnostics-gem": ["diagnostics", *GEM_FLAGS, "--x-max", "50", "--n-max", "20"],
+    "cli-monitor-epi": ["monitor-epi", *EPI_FLAGS],
+    "cli-fit-epi": ["fit-epi", *EPI_FLAGS, "--restarts", "3"],
+}
+
+
+def _cli_outputs(name, out_dir):
+    """Digest of the stdout and of each output file (but the manifest) of one CLI run."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # censored MTFA trials are expected
+        code = cli.main([*CLI_CASES[name], "--out", str(out_dir)])
+    assert code == 0, f"{name} exited with {code}"
+    digests = {"stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()[:16]}
+    for path in sorted(out_dir.iterdir()):
+        if path.name != "run_manifest.json":
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    return digests
+
+
 CASES = {
     **{
         f"trials-{d}-{m}-{r}": (lambda d=d, m=m, r=r: _trials(d, m, r))
@@ -131,6 +176,8 @@ def _digests(ints, floats) -> dict:
 def _compute(name, tmp_path):
     if name == "monitor-epi":
         return _digests(*_monitor_epi(tmp_path))
+    if name in CLI_CASES:
+        return _cli_outputs(name, tmp_path)
     return _digests(*CASES[name]())
 
 
@@ -149,8 +196,13 @@ def test_digests_unchanged(name, frozen, tmp_path):
     assert got["floats"] == frozen[name]["floats"], "float outputs changed"
 
 
+@pytest.mark.parametrize("name", CLI_CASES)
+def test_cli_outputs_unchanged(name, frozen, tmp_path):
+    assert _compute(name, tmp_path) == frozen[name]
+
+
 def test_every_frozen_case_still_runs(frozen):
-    assert sorted(frozen) == sorted(NAMES)
+    assert sorted(frozen) == sorted([*NAMES, *CLI_CASES])
 
 
 if __name__ == "__main__":
@@ -159,7 +211,11 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        table = {name: _compute(name, Path(tmp)) for name in NAMES}
+        table = {}
+        for name in [*NAMES, *CLI_CASES]:
+            out_dir = Path(tmp) / name  # each CLI case hashes every file of its own directory
+            out_dir.mkdir()
+            table[name] = _compute(name, out_dir)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(table)} cases to {GOLDEN}")
