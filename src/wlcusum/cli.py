@@ -1,10 +1,11 @@
 """Command-line front end for calibration, simulation, diagnostics, and monitoring.
 
-Every subcommand writes its tables as CSV and its summaries as JSON under
---out (default ./out), plus a run manifest (config echo, library versions,
-wall time, output list). Stochastic subcommands require --seed and reproduce
-byte-identically on rerun. Exit codes: 0 success, 1 runtime failure (partial
-outputs are removed), 2 usage error.
+The only module that writes files. Every subcommand writes its tables as CSV
+(a float as repr(float(v)), a flag as 0/1, None as a blank) and its summaries
+as JSON under --out (default ./out), plus a run manifest (config echo,
+library versions, wall time, output list). Stochastic subcommands require
+--seed and reproduce byte-identically on rerun. Exit codes: 0 success,
+1 runtime failure (partial outputs are removed), 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
@@ -45,9 +47,7 @@ from .montecarlo import (
     estimate_add,
     estimate_mtfa,
     geometric_qq,
-    oc_to_csv,
     operating_characteristic,
-    qq_to_csv,
     run_trials,
 )
 
@@ -221,24 +221,28 @@ def _json_default(obj):
     return str(obj)
 
 
-def _trials_to_csv(path: Path, times, censored, written: list) -> None:
+# The CSV cell rule, looked up by exact type to keep long tables cheap: a float
+# as repr(float(v)) and a flag as 0/1. csv itself writes None as a blank and
+# anything else (ints, strings, dates) through str().
+_CELL = {float: float.__repr__, np.float64: float.__repr__, bool: int, np.bool_: int}
+
+
+def _write_csv(path: Path, header, rows, written: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["trial", "time", "censored"])
-        for i, (t, c) in enumerate(zip(times, censored)):
-            writer.writerow([i, int(t), int(c)])
+        writer.writerow(header)
+        writer.writerows([f(v) if (f := _CELL.get(type(v))) else v for v in row]
+                         for row in rows)
     written.append(path)
 
 
+def _write_trials(path: Path, times, censored, written: list) -> None:
+    _write_csv(path, ["trial", "time", "censored"],
+               zip(range(len(times)), times, censored), written)
+
+
 def _delay_dict(est) -> dict:
-    return {
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "num_uncensored": est.num_uncensored,
-        "censor_rate": est.censor_rate,
-        "num_false_starts": est.num_false_starts,
-        "lower_bound_only": est.lower_bound_only,
-    }
+    return {**asdict(est), "lower_bound_only": est.lower_bound_only}
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +267,14 @@ def _cmd_simulate_oc(args, out_dir, written):
     template, glr_inputs = _trial_plan(args, model, args.nu, args.alphas[0], sweep=True)
     rows = operating_characteristic(template, args.alphas, safety=args.safety,
                                     glr_inputs=glr_inputs)
-    oc_to_csv(rows, out_dir / "oc.csv")
-    written.append(out_dir / "oc.csv")
+    _write_csv(
+        out_dir / "oc.csv",
+        ["alpha", "threshold", "window", "delay_mean", "delay_stderr", "num_uncensored",
+         "censor_rate"],
+        [(r.alpha, r.threshold, r.window, r.delay.mean, r.delay.stderr,
+          r.delay.num_uncensored, r.delay.censor_rate) for r in rows],
+        written,
+    )
     payload = {
         "rows": [
             {
@@ -292,8 +302,8 @@ def _cmd_simulate_qq(args, out_dir, written):
             "(raise --trials or --max-steps, or lower the threshold)"
         )
     report = geometric_qq(kept)
-    qq_to_csv(report, out_dir / "qq.csv")
-    written.append(out_dir / "qq.csv")
+    _write_csv(out_dir / "qq.csv", ["prob", "theoretical", "empirical"],
+               zip(report.probs, report.theoretical, report.empirical), written)
     payload = {
         "p_hat": report.p_hat,
         "correlation": report.correlation,
@@ -317,7 +327,7 @@ def _cmd_estimate_mtfa(args, out_dir, written):
         )
     times, censored = run_trials(plan)
     est = estimate_mtfa(plan, results=(times, censored))
-    _trials_to_csv(out_dir / "mtfa_trials.csv", times, censored, written)
+    _write_trials(out_dir / "mtfa_trials.csv", times, censored, written)
     payload = {"mtfa": _delay_dict(est), "threshold": plan.threshold, "window": plan.window,
                "target_lower_bound": 1.0 / alpha_eff}
     _write_json(out_dir / "mtfa_summary.json", payload, written)
@@ -329,7 +339,7 @@ def _cmd_estimate_add(args, out_dir, written):
     plan, _ = _trial_plan(args, model, args.nu, args.alpha)
     times, censored = run_trials(plan)
     est = estimate_add(plan, results=(times, censored))
-    _trials_to_csv(out_dir / "add_trials.csv", times, censored, written)
+    _write_trials(out_dir / "add_trials.csv", times, censored, written)
     payload = {"add": _delay_dict(est), "threshold": plan.threshold, "window": plan.window,
                "nu": args.nu}
     _write_json(out_dir / "add_summary.json", payload, written)
@@ -342,18 +352,10 @@ def _cmd_diagnostics(args, out_dir, written):
         GrowthCurve(model), args.x_max, points_per_decade=args.points_per_decade
     )
     lemma1 = lemma1_diagnostics(model, args.n_max, shift_max=args.shift_max)
-    with open(out_dir / "growth_condition.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "log_inverse_over_x"])
-        for x, r in zip(growth.x, growth.ratio):
-            writer.writerow([repr(float(x)), repr(float(r))])
-    written.append(out_dir / "growth_condition.csv")
-    with open(out_dir / "lemma1.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "variance_ratio"])
-        for n, r in zip(lemma1.ns, lemma1.variance_ratio):
-            writer.writerow([int(n), repr(float(r))])
-    written.append(out_dir / "lemma1.csv")
+    _write_csv(out_dir / "growth_condition.csv", ["x", "log_inverse_over_x"],
+               zip(growth.x, growth.ratio), written)
+    _write_csv(out_dir / "lemma1.csv", ["n", "variance_ratio"],
+               zip(lemma1.ns, lemma1.variance_ratio), written)
     payload = {
         "growth_condition": {"satisfied": growth.satisfied, "x_max": growth.x_max},
         "variance_ratio_range": [float(np.min(lemma1.variance_ratio)),
@@ -395,12 +397,19 @@ def _cmd_monitor_epi(args, out_dir, written):
         epsilon=args.epsilon,
         threshold=args.threshold,
     )
-    result.to_csv(out_dir / "trajectory.csv")
-    written.append(out_dir / "trajectory.csv")
+    no_theta = (None, None, None)
+    _write_csv(
+        out_dir / "trajectory.csv",
+        ["date", "statistic", "threshold", "alarm", "k_star", "theta0", "theta1", "theta2"],
+        [(d, out.statistic, result.threshold, out.alarm, out.k_star,
+          *(no_theta if out.theta_hat is None else out.theta_hat))
+         for d, out in zip(result.dates, result.outputs)],
+        written,
+    )
     payload = {
         "region": segment.region,
         "population": segment.population,
-        "beta_fit": beta.as_dict(),
+        "beta_fit": asdict(beta),
         "threshold": result.threshold,
         "num_days": len(segment.fractions),
         "first_alarm_date": result.first_alarm_date,
@@ -425,7 +434,7 @@ def _cmd_fit_epi(args, out_dir, written):
         tol=args.tol,
         seed=args.seed,
     )
-    payload = {"beta_fit": beta.as_dict(), "wave_fit": fit.as_dict(),
+    payload = {"beta_fit": asdict(beta), "wave_fit": fit.as_dict(),
                "num_days": stop - start}
     _write_json(out_dir / "fit_summary.json", payload, written)
     return payload

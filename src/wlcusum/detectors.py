@@ -24,7 +24,6 @@ step, and monitoring code decides whether to stop.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,6 @@ __all__ = [
     "SrStatistic",
     "theta_grid",
     "run_until_alarm",
-    "trajectory_to_csv",
 ]
 
 
@@ -315,33 +313,3 @@ def run_until_alarm(detector, observations, max_steps: int | None = None) -> Sto
         if max_steps is not None and steps >= max_steps:
             break
     return StoppingRecord(time=steps, censored=True, statistic=statistic)
-
-
-def trajectory_to_csv(outputs, path):
-    """Write per-step detector outputs as CSV.
-
-    Columns: time, statistic, alarm (0/1), k_star, then the theta estimate
-    (theta_hat for scalar grids, theta0..theta{d-1} for boxes) when present.
-    """
-    outputs = list(outputs)
-    theta_cols: list[str] = []
-    for out in outputs:
-        if out.theta_hat is not None:
-            if isinstance(out.theta_hat, tuple):
-                theta_cols = [f"theta{i}" for i in range(len(out.theta_hat))]
-            else:
-                theta_cols = ["theta_hat"]
-            break
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "statistic", "alarm", "k_star", *theta_cols])
-        for out in outputs:
-            row = [out.time, repr(float(out.statistic)), int(out.alarm), out.k_star]
-            if theta_cols:
-                if out.theta_hat is None:
-                    row.extend([""] * len(theta_cols))
-                elif isinstance(out.theta_hat, tuple):
-                    row.extend(repr(float(v)) for v in out.theta_hat)
-                else:
-                    row.append(repr(float(out.theta_hat)))
-            writer.writerow(row)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -163,16 +163,6 @@ class BetaFit:
     variance: float
     start_date: date
     num_days: int
-
-    def as_dict(self) -> dict:
-        return {
-            "a0": float(self.a0),
-            "b0": float(self.b0),
-            "mean": float(self.mean),
-            "variance": float(self.variance),
-            "start_date": self.start_date.isoformat(),
-            "num_days": int(self.num_days),
-        }
 
 
 def fit_beta_prechange(series: FractionSeries, window_days: int = 20) -> BetaFit:
@@ -373,21 +363,6 @@ class MonitorResult:
         if self.first_alarm_index is None:
             return None
         return self.dates[self.first_alarm_index]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["date", "statistic", "threshold", "alarm", "k_star",
-                 "theta0", "theta1", "theta2"]
-            )
-            for d, out in zip(self.dates, self.outputs):
-                theta = out.theta_hat if out.theta_hat is not None else ("", "", "")
-                writer.writerow(
-                    [d.isoformat(), repr(float(out.statistic)), repr(float(self.threshold)),
-                     int(out.alarm), out.k_star,
-                     *(repr(float(v)) if v != "" else "" for v in theta)]
-                )
 
 
 def monitor(

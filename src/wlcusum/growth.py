@@ -117,7 +117,7 @@ class GrowthCurve:
             target = max(64, 2 * have)
             if have >= _SATURATION_CAP:
                 raise ValueError(
-                    f"growth_inverse({x!r}): curve saturated near {self._cum[-1]!r} "
+                    f"growth_inverse({x!r}): curve saturated near {float(self._cum[-1])!r} "
                     "without reaching the target"
                 )
             before = self._cum[-1]
@@ -126,7 +126,7 @@ class GrowthCurve:
             if gained <= abs(x) * 1e-15 and self._cum[-1] < x:
                 raise ValueError(
                     f"growth_inverse({x!r}): increments have decayed to nothing at "
-                    f"n={len(self._cum) - 1} with g={self._cum[-1]!r}; the target "
+                    f"n={len(self._cum) - 1} with g={float(self._cum[-1])!r}; the target "
                     "exceeds the total drift this model accumulates"
                 )
         j = int(np.searchsorted(self._cum, x, side="left"))
@@ -161,14 +161,6 @@ class GrowthConditionReport:
     ratio: np.ndarray
     satisfied: bool
     x_max: float
-
-    def as_dict(self) -> dict:
-        return {
-            "x": [float(v) for v in self.x],
-            "ratio": [float(v) for v in self.ratio],
-            "satisfied": bool(self.satisfied),
-            "x_max": float(self.x_max),
-        }
 
 
 def check_growth_condition(
@@ -211,13 +203,6 @@ class Lemma1Report:
     variance_ratio: np.ndarray
     time_shift_min: float
     pinned_lags: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "n": [int(v) for v in self.ns],
-            "variance_ratio": [float(v) for v in self.variance_ratio],
-            "time_shift_min": float(self.time_shift_min),
-        }
 
 
 def lemma1_diagnostics(

@@ -155,12 +155,18 @@ class ObservationModel:
     # divergence and variance are +inf, not the -inf or 0 the form would give.
 
     def expected_llr_lags(self, lags: np.ndarray) -> np.ndarray:
-        """expected_llr at each lag of an array."""
+        """expected_llr at each lag of an array, never negative.
+
+        slope * mean + intercept cancels to rounding noise where the wave has
+        died out. A lag with slope exactly 0 gets 0 (a constant LLR between two
+        densities is 0); the rest are clamped at 0, since a KL is never negative.
+        """
         slopes, intercepts = self.llr_terms(lags)
         means, _ = self.stat_moments(lags)
         pinned = np.isneginf(intercepts)
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(pinned, np.inf, slopes * means + intercepts)
+            kl = np.maximum(slopes * means + intercepts, 0.0)
+        return np.where(pinned, np.inf, np.where(slopes == 0.0, 0.0, kl))
 
     def expected_llr_mismatch(self, hyp_lag: int, true_lag: int) -> float:
         """Mean of the lag-`hyp_lag` LLR when the data sit at `true_lag`.

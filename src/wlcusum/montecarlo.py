@@ -14,7 +14,6 @@ worker count, chunk or batch size, and reduced in trial-index order.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -38,8 +37,6 @@ __all__ = [
     "estimate_add",
     "operating_characteristic",
     "geometric_qq",
-    "oc_to_csv",
-    "qq_to_csv",
 ]
 
 _STREAM_BLOCK = 512
@@ -334,20 +331,6 @@ def operating_characteristic(
     return rows
 
 
-def oc_to_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["alpha", "threshold", "window", "delay_mean", "delay_stderr",
-             "num_uncensored", "censor_rate"]
-        )
-        for r in rows:
-            writer.writerow(
-                [repr(r.alpha), repr(r.threshold), r.window, repr(r.delay.mean),
-                 repr(r.delay.stderr), r.delay.num_uncensored, repr(r.delay.censor_rate)]
-            )
-
-
 @dataclass
 class QqReport:
     """Quantile-quantile comparison of stopping times against a geometric law.
@@ -363,16 +346,6 @@ class QqReport:
     theoretical: np.ndarray
     correlation: float
     num_samples: int
-
-    def as_dict(self) -> dict:
-        return {
-            "p_hat": float(self.p_hat),
-            "probs": [float(v) for v in self.probs],
-            "empirical": [float(v) for v in self.empirical],
-            "theoretical": [float(v) for v in self.theoretical],
-            "correlation": float(self.correlation),
-            "num_samples": int(self.num_samples),
-        }
 
 
 def geometric_qq(times, probs=None) -> QqReport:
@@ -405,11 +378,3 @@ def geometric_qq(times, probs=None) -> QqReport:
         correlation=corr,
         num_samples=len(times),
     )
-
-
-def qq_to_csv(report: QqReport, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prob", "theoretical", "empirical"])
-        for p, t, e in zip(report.probs, report.theoretical, report.empirical):
-            writer.writerow([repr(float(p)), repr(float(t)), repr(float(e))])

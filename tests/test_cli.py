@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
+import csv
 import json
 import math
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from wlcusum.cli import main
 from wlcusum.models import wave_multiplier
@@ -33,6 +35,11 @@ def _case_csv(path, *, days=90, onset=50, seed=2020, noiseless_post=False):
 
 
 ONSET_DATE = (date(2020, 6, 1) + timedelta(days=50)).isoformat()  # 2020-07-21
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def _run(capsys, argv):
@@ -160,6 +167,19 @@ class TestSimulateOc:
         assert code == 0
         assert [row["alpha"] for row in payload["rows"]] == [1e-1, 1e-2]
         assert payload["rows"][0]["delay"]["mean"] <= payload["rows"][1]["delay"]["mean"]
+        rows = _read_csv(tmp_path / "out/oc.csv")
+        assert list(rows[0]) == ["alpha", "threshold", "window", "delay_mean", "delay_stderr",
+                                 "num_uncensored", "censor_rate"]
+        assert len(rows) == 2  # one row per alpha
+        for row, want in zip(rows, payload["rows"]):
+            delay = want["delay"]
+            assert float(row["alpha"]) == want["alpha"]
+            assert float(row["threshold"]) == want["threshold"]
+            assert int(row["window"]) == want["window"]
+            assert float(row["delay_mean"]) == delay["mean"]
+            assert float(row["delay_stderr"]) == delay["stderr"]
+            assert int(row["num_uncensored"]) == delay["num_uncensored"]
+            assert float(row["censor_rate"]) == delay["censor_rate"]
 
     def test_glr_on_scalar_parameter_model(self, tmp_path, capsys):
         code, payload, err = _run(
@@ -227,6 +247,13 @@ class TestSimulateQq:
         qq = (out / "qq.csv").read_text().splitlines()
         assert qq[0] == "prob,theoretical,empirical"
         assert len(qq) == 100  # header + 99 percentiles
+        rows = _read_csv(out / "qq.csv")
+        probs = [float(r["prob"]) for r in rows]
+        assert probs == [k / 100.0 for k in range(1, 100)]
+        theoretical = [float(r["theoretical"]) for r in rows]
+        empirical = [float(r["empirical"]) for r in rows]
+        assert theoretical == list(stats.geom.ppf(probs, payload["p_hat"]))
+        assert np.corrcoef(theoretical, empirical)[0, 1] == payload["correlation"]
 
 
 class TestDiagnostics:
@@ -270,6 +297,19 @@ class TestDiagnostics:
         assert code == 0, err
         assert len((out / "lemma1.csv").read_text().splitlines()) == 50  # header + 49
 
+    def test_betawave_default_x_max_fails_fast(self, tmp_path, capsys):
+        # the county wave's drift ends near 96.29, below the default --x-max of 100
+        out = tmp_path / "out"
+        code, _, err = _run(
+            capsys,
+            ["diagnostics", "--model", "betawave", "--a0", "20.6", "--b0", "2.94e5",
+             "--theta0", "0.464", "--theta1", "3.894", "--theta2", "0.445",
+             "--out", str(out)],
+        )
+        assert code == 1
+        assert "at n=128 with g=96.28531887763782; the target exceeds the total drift" in err
+        assert not any(out.iterdir())
+
 
 class TestMonitorEpi:
     def test_detects_wave_and_reruns_identically(self, tmp_path, capsys, monkeypatch):
@@ -286,6 +326,18 @@ class TestMonitorEpi:
         traj = (tmp_path / "out_a/trajectory.csv").read_text().splitlines()
         assert traj[0] == "date,statistic,threshold,alarm,k_star,theta0,theta1,theta2"
         assert traj[1].startswith(ONSET_DATE)
+        rows = _read_csv(tmp_path / "out_a/trajectory.csv")
+        assert len(rows) == payload["num_days"]  # one row per monitored day
+        assert all(float(r["threshold"]) == payload["threshold"] for r in rows)
+        alarms = [i for i, r in enumerate(rows) if r["alarm"] == "1"]
+        assert {r["alarm"] for r in rows} == {"0", "1"}
+        assert alarms[0] == payload["first_alarm_index"]
+        assert rows[alarms[0]]["date"] == payload["first_alarm_date"]
+        assert all(float(r["statistic"]) >= payload["threshold"] for r in
+                   (rows[i] for i in alarms))
+        for r in rows:  # an estimate is three floats, or three blanks before any
+            theta = [r[f"theta{i}"] for i in range(3)]
+            assert theta == ["", "", ""] or all(math.isfinite(float(v)) for v in theta)
 
         code2, _, _ = _run(capsys, args + ["--out", "out_b"])
         assert code2 == 0

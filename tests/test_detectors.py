@@ -1,6 +1,5 @@
 """Streaming detectors against direct recomputation and textbook recursions."""
 
-import csv
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from wlcusum.detectors import (
     WlGlr,
     run_until_alarm,
     theta_grid,
-    trajectory_to_csv,
 )
 from wlcusum.models import BetaWaveModel, DecayModel, GemModel, SupportError
 
@@ -405,49 +403,3 @@ class TestRunUntilAlarm:
         assert not rec.censored
         assert rec.time == 3
         np.testing.assert_allclose(rec.statistic, EX2_STAT_N3, rtol=1e-13)
-
-
-class TestTrajectoryCsv:
-    def test_scalar_theta_columns(self, tmp_path):
-        model = GemModel(0.1, 1e4, 0.4)
-        glr = WlGlr(model, threshold=1e9, window=5, grid=theta_grid((0.1, 0.5), 4))
-        rng = np.random.default_rng(31)
-        outputs = [glr.step(x) for x in rng.normal(0.1, 100.0, 8)]
-        path = tmp_path / "trace.csv"
-        trajectory_to_csv(outputs, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["time", "statistic", "alarm", "k_star", "theta_hat"]
-        assert len(rows) == 9
-        for row, out in zip(rows[1:], outputs):
-            assert int(row[0]) == out.time
-            assert float(row[1]) == out.statistic
-            if out.theta_hat is None:
-                assert row[4] == ""
-            else:
-                assert float(row[4]) == out.theta_hat
-
-    def test_vector_theta_columns(self, tmp_path):
-        model = BetaWaveModel(20.6, 2.94e5, COUNTY_THETA)
-        grid = theta_grid([(0.1, 5.0), (1.0, 20.0), (0.1, 5.0)], (2, 2, 2))
-        glr = WlGlr(model, threshold=1e9, window=5, grid=grid)
-        rng = np.random.default_rng(37)
-        xs = model.sample_segment(rng, nu=1, start=1, length=6)
-        outputs = [glr.step(x) for x in xs]
-        path = tmp_path / "trace.csv"
-        trajectory_to_csv(outputs, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["time", "statistic", "alarm", "k_star", "theta0", "theta1", "theta2"]
-
-    def test_plain_detector_outputs_have_no_theta_column(self, tmp_path):
-        det = WlCusum(GemModel(1.0, 1.0, 1.0), threshold=1e9, window=5)
-        outputs = [det.step(x) for x in (1.0, 0.0, 10.0)]
-        path = tmp_path / "trace.csv"
-        trajectory_to_csv(outputs, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        # no output carries an estimate, so the column disappears entirely
-        assert rows[0] == ["time", "statistic", "alarm", "k_star"]
-        assert all(len(row) == 4 for row in rows[1:])
-        assert rows[3][1] == repr(EX2_STAT_N3)

@@ -127,10 +127,10 @@ def test_growth_condition_fails_for_log_curve():
 
 def test_growth_condition_report_dict():
     report = check_growth_condition(GrowthCurve(GemModel(0.1, 1e4, 0.4)), 50.0)
-    payload = report.as_dict()
-    assert payload["satisfied"] is True
-    assert payload["x_max"] == 50.0
-    assert len(payload["x"]) == len(payload["ratio"])
+    assert report.satisfied is True
+    assert report.x_max == 50.0
+    assert report.x[0] == 1.0 and report.x[-1] == pytest.approx(50.0)
+    assert report.x.shape == report.ratio.shape == (18,)  # 10 points per decade
 
 
 def test_growth_condition_argument_errors():
@@ -163,8 +163,9 @@ def test_lemma1_time_shift_sign():
 
 def test_lemma1_report_dict_and_validation():
     report = lemma1_diagnostics(GemModel(1.0, 1.0, 1.0), n_max=5)
-    payload = report.as_dict()
-    assert set(payload) == {"n", "variance_ratio", "time_shift_min"}
+    assert list(report.ns) == [2, 3, 4, 5]
+    assert report.variance_ratio.shape == (4,)
+    assert isinstance(report.time_shift_min, float)
     with pytest.raises(ValueError):
         lemma1_diagnostics(GemModel(1.0, 1.0, 1.0), n_max=1)
 
@@ -177,8 +178,7 @@ def test_lemma1_stops_where_gem_sums_overflow():
     assert np.all(report.variance_ratio > 0.0)
     assert report.pinned_lags == 1000 - 888
     assert report.time_shift_min == 0.0  # lag 0 has slope 0; no NaN slipped past min
-    payload = report.as_dict()
-    assert len(payload["n"]) == len(payload["variance_ratio"]) == 461
+    assert len(report.ns) == len(report.variance_ratio) == 461
 
 
 def test_betawave_growth_warns_past_peak():
@@ -196,6 +196,27 @@ def test_betawave_inverse_warns_only_past_peak():
             GrowthCurve(model).growth_inverse(x)
     with pytest.warns(RuntimeWarning):
         GrowthCurve(model).growth_inverse(96.0)  # needs knot 6, past the peak
+
+
+@pytest.mark.parametrize("model, first_zero", [
+    (BetaWaveModel(5.0, 20.0, (0.0, 10.0, 3.0)), 36),  # slope*mean + intercept < 0 at lag 27
+    (BetaWaveModel(20.6, 2.94e5, (0.464, 3.894, 0.445)), 8),  # it leaves +1.1e-10 per lag
+])
+def test_betawave_drift_stops_where_the_wave_dies_out(model, first_zero):
+    """Past the wave the KL increments are exactly 0, not rounding noise of either sign."""
+    lags = np.arange(200)
+    kl = model.expected_llr_lags(lags)
+    assert np.all(kl >= 0.0)
+    slopes, _ = model.llr_terms(lags)
+    assert np.flatnonzero(slopes == 0.0)[0] == first_zero
+    assert np.all(kl[first_zero:] == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # past the peak
+        total = GrowthCurve(model).growth(first_zero)
+        # the inverse gives up after two doublings, not tens of millions of knots
+        with pytest.raises(ValueError, match="exceeds the total drift") as exc:
+            GrowthCurve(model).growth_inverse(100.0)
+    assert f"decayed to nothing at n=128 with g={total!r};" in str(exc.value)
 
 
 def test_growth_curve_pickles():

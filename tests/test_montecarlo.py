@@ -1,6 +1,5 @@
 """Monte-Carlo harness: determinism, censoring, OC sweeps, geometric QQ."""
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -20,9 +19,7 @@ from wlcusum.montecarlo import (
     estimate_add,
     estimate_mtfa,
     geometric_qq,
-    oc_to_csv,
     operating_characteristic,
-    qq_to_csv,
     run_trials,
 )
 
@@ -392,21 +389,6 @@ class TestOperatingCharacteristic:
         )
         assert rows[0].threshold > -math.log(1e-2)
 
-    def test_csv_round_trip(self, tmp_path):
-        template = _plan(window=None, nu=1, num_trials=25)
-        rows = operating_characteristic(template, [1e-1, 1e-2])
-        path = tmp_path / "oc.csv"
-        oc_to_csv(rows, path)
-        with open(path, newline="") as fh:
-            got = list(csv.DictReader(fh))
-        assert list(got[0]) == [
-            "alpha", "threshold", "window", "delay_mean", "delay_stderr",
-            "num_uncensored", "censor_rate",
-        ]
-        assert len(got) == 2
-        assert float(got[1]["delay_mean"]) == rows[1].delay.mean
-        assert int(got[0]["window"]) == rows[0].window
-
 
 class TestGeometricQq:
     def test_recovers_geometric_law(self):
@@ -424,13 +406,6 @@ class TestGeometricQq:
         report = geometric_qq(rng.geometric(0.05, 500))
         np.testing.assert_allclose(report.probs, np.arange(1, 100) / 100.0)
 
-    def test_as_dict_keys(self):
-        rng = np.random.default_rng(7)
-        payload = geometric_qq(rng.geometric(0.02, 300)).as_dict()
-        assert set(payload) == {
-            "p_hat", "probs", "empirical", "theoretical", "correlation", "num_samples",
-        }
-
     def test_validation(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
@@ -439,19 +414,6 @@ class TestGeometricQq:
             geometric_qq(np.full(200, 7))  # constant sample
         with pytest.raises(ValueError):
             geometric_qq(np.r_[np.zeros(100), np.ones(100)])  # times must be >= 1
-
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        report = geometric_qq(rng.geometric(0.01, 1000))
-        path = tmp_path / "qq.csv"
-        qq_to_csv(report, path)
-        with open(path, newline="") as fh:
-            got = list(csv.DictReader(fh))
-        assert list(got[0]) == ["prob", "theoretical", "empirical"]
-        assert len(got) == len(report.probs)
-        np.testing.assert_allclose(
-            [float(r["theoretical"]) for r in got], report.theoretical
-        )
 
 
 def test_full_cusum_plan_runs_without_window():
