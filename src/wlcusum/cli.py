@@ -241,6 +241,27 @@ def _write_trials(path: Path, times, censored, written: list) -> None:
                zip(range(len(times)), times, censored), written)
 
 
+# The tables behind oc.csv, qq.csv and trajectory.csv, as (header, rows).
+def _oc_table(rows):
+    return (["alpha", "threshold", "window", "delay_mean", "delay_stderr", "num_uncensored",
+             "censor_rate"],
+            [(r.alpha, r.threshold, r.window, r.delay.mean, r.delay.stderr,
+              r.delay.num_uncensored, r.delay.censor_rate) for r in rows])
+
+
+def _qq_table(report):
+    return (["prob", "theoretical", "empirical"],
+            zip(report.probs, report.theoretical, report.empirical))
+
+
+def _trajectory_table(result):
+    no_theta = (None, None, None)
+    return (["date", "statistic", "threshold", "alarm", "k_star", "theta0", "theta1", "theta2"],
+            [(d, out.statistic, result.threshold, out.alarm, out.k_star,
+              *(no_theta if out.theta_hat is None else out.theta_hat))
+             for d, out in zip(result.dates, result.outputs)])
+
+
 def _delay_dict(est) -> dict:
     return {**asdict(est), "lower_bound_only": est.lower_bound_only}
 
@@ -267,14 +288,7 @@ def _cmd_simulate_oc(args, out_dir, written):
     template, glr_inputs = _trial_plan(args, model, args.nu, args.alphas[0], sweep=True)
     rows = operating_characteristic(template, args.alphas, safety=args.safety,
                                     glr_inputs=glr_inputs)
-    _write_csv(
-        out_dir / "oc.csv",
-        ["alpha", "threshold", "window", "delay_mean", "delay_stderr", "num_uncensored",
-         "censor_rate"],
-        [(r.alpha, r.threshold, r.window, r.delay.mean, r.delay.stderr,
-          r.delay.num_uncensored, r.delay.censor_rate) for r in rows],
-        written,
-    )
+    _write_csv(out_dir / "oc.csv", *_oc_table(rows), written)
     payload = {
         "rows": [
             {
@@ -302,8 +316,7 @@ def _cmd_simulate_qq(args, out_dir, written):
             "(raise --trials or --max-steps, or lower the threshold)"
         )
     report = geometric_qq(kept)
-    _write_csv(out_dir / "qq.csv", ["prob", "theoretical", "empirical"],
-               zip(report.probs, report.theoretical, report.empirical), written)
+    _write_csv(out_dir / "qq.csv", *_qq_table(report), written)
     payload = {
         "p_hat": report.p_hat,
         "correlation": report.correlation,
@@ -397,15 +410,7 @@ def _cmd_monitor_epi(args, out_dir, written):
         epsilon=args.epsilon,
         threshold=args.threshold,
     )
-    no_theta = (None, None, None)
-    _write_csv(
-        out_dir / "trajectory.csv",
-        ["date", "statistic", "threshold", "alarm", "k_star", "theta0", "theta1", "theta2"],
-        [(d, out.statistic, result.threshold, out.alarm, out.k_star,
-          *(no_theta if out.theta_hat is None else out.theta_hat))
-         for d, out in zip(result.dates, result.outputs)],
-        written,
-    )
+    _write_csv(out_dir / "trajectory.csv", *_trajectory_table(result), written)
     payload = {
         "region": segment.region,
         "population": segment.population,

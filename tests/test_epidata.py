@@ -6,6 +6,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from wlcusum import cli
 from wlcusum.epidata import (
     BetaFit,
     CaseSeries,
@@ -342,3 +343,17 @@ class TestMonitor:
         beta = _beta()
         with pytest.raises(ValueError, match="identically zero"):
             monitor(_fraction_series(np.zeros(10)), beta, COUNTY_BOX)
+
+    def test_csv_format_and_determinism(self, tmp_path):
+        beta = _beta()
+        rng = np.random.default_rng(6)
+        series = _fraction_series(rng.beta(beta.a0, beta.b0, 15))
+        result = monitor(series, beta, COUNTY_BOX, window=5)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        cli._write_csv(p1, *cli._trajectory_table(result), [])
+        cli._write_csv(p2, *cli._trajectory_table(result), [])
+        assert p1.read_bytes() == p2.read_bytes()
+        lines = p1.read_text().splitlines()
+        assert lines[0] == "date,statistic,threshold,alarm,k_star,theta0,theta1,theta2"
+        assert len(lines) == 16
+        assert lines[1].startswith("2020-06-01,")

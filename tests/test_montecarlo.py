@@ -1,5 +1,6 @@
 """Monte-Carlo harness: determinism, censoring, OC sweeps, geometric QQ."""
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -9,6 +10,7 @@ import pytest
 from conftest import ShiftModel
 
 from wlcusum import montecarlo
+from wlcusum.cli import _oc_table, _qq_table, _write_csv
 from wlcusum.calibration import GlrThresholdInputs
 from wlcusum.detectors import WlGlr, run_until_alarm, theta_grid
 from wlcusum.models import BetaWaveModel, DecayModel, GemModel, SupportError
@@ -389,6 +391,21 @@ class TestOperatingCharacteristic:
         )
         assert rows[0].threshold > -math.log(1e-2)
 
+    def test_csv_round_trip(self, tmp_path):
+        template = _plan(window=None, nu=1, num_trials=25)
+        rows = operating_characteristic(template, [1e-1, 1e-2])
+        path = tmp_path / "oc.csv"
+        _write_csv(path, *_oc_table(rows), [])
+        with open(path, newline="") as fh:
+            got = list(csv.DictReader(fh))
+        assert list(got[0]) == [
+            "alpha", "threshold", "window", "delay_mean", "delay_stderr",
+            "num_uncensored", "censor_rate",
+        ]
+        assert len(got) == 2
+        assert float(got[1]["delay_mean"]) == rows[1].delay.mean
+        assert int(got[0]["window"]) == rows[0].window
+
 
 class TestGeometricQq:
     def test_recovers_geometric_law(self):
@@ -414,6 +431,19 @@ class TestGeometricQq:
             geometric_qq(np.full(200, 7))  # constant sample
         with pytest.raises(ValueError):
             geometric_qq(np.r_[np.zeros(100), np.ones(100)])  # times must be >= 1
+
+    def test_csv_round_trip(self, tmp_path):
+        rng = np.random.default_rng(13)
+        report = geometric_qq(rng.geometric(0.01, 1000))
+        path = tmp_path / "qq.csv"
+        _write_csv(path, *_qq_table(report), [])
+        with open(path, newline="") as fh:
+            got = list(csv.DictReader(fh))
+        assert list(got[0]) == ["prob", "theoretical", "empirical"]
+        assert len(got) == len(report.probs)
+        np.testing.assert_allclose(
+            [float(r["theoretical"]) for r in got], report.theoretical
+        )
 
 
 def test_full_cusum_plan_runs_without_window():
