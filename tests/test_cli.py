@@ -113,6 +113,23 @@ class TestArgumentErrors:
             main(["calibrate", *GEM, "--alpha", "1e-3", "--theta-box", "5:0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["calibrate", *GEM, "--alpha", "1e-3", "--theta-box", "5:0.1"],
+         "argument --theta-box: expected comma-separated lo:hi pairs (lo < hi) like "
+         "'0.1:5,1:20,0.1:5', got '5:0.1'"),
+        (["simulate-oc", *GEM, "--alphas", "1e-2", "--nu", "1", "--seed", "1",
+          "--grid-counts", "0"],
+         "argument --grid-counts: expected comma-separated positive integers like "
+         "'10,10,10', got '0'"),
+        (["simulate-oc", *GEM, "--alphas", "x", "--nu", "1", "--seed", "1"],
+         "argument --alphas: expected comma-separated numbers like '1e-2,1e-3', got 'x'"),
+    ])
+    def test_bad_list_value_message(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_model_parameter_is_runtime_error(self, tmp_path, capsys):
         code = main(["calibrate", "--model", "gem", "--mu0", "0.1", "--theta", "0.4",
                      "--alpha", "1e-3", "--out", str(tmp_path / "out")])

@@ -9,12 +9,15 @@ platform's libm as well as on this code, so it is kept apart from the
 integer one. The ``cli-*`` cases run one subcommand each through
 ``cli.main`` and hash its stdout and the bytes of every file it writes
 except ``run_manifest.json`` (which records the wall time and versions).
+The ``cli-flags`` case hashes every subcommand's options, so a flag that is
+added, dropped or changed in name, destination, default or choices shows.
 
 After a deliberate change of results, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py --update
 """
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -24,6 +27,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,6 +116,7 @@ def _monitor_epi(tmp_path):
 
 
 GEM_FLAGS = ["--model", "gem", "--mu0", "0.1", "--sigma0-sq", "1e4", "--theta", "0.4"]
+DECAY_FLAGS = ["--model", "decay", "--mu1", "2", "--sigma-sq", "4", "--theta", "0.2"]
 EPI_FLAGS = [
     "--input", str(REPO / "demos" / "data" / "synthetic_county.csv"), "--population", "1e6",
     "--start-date", "2020-07-01", "--theta-box", "0.1:5,1:20,0.1:5",
@@ -121,6 +126,7 @@ CLI_CASES = {
     "cli-calibrate": ["calibrate", *GEM_FLAGS, "--alpha", "1e-3"],
     "cli-calibrate-glr": ["calibrate", *GEM_FLAGS, "--alpha", "1e-3", "--theta-box", "0:0.5",
                           "--epsilon", "5.5"],
+    "cli-calibrate-decay": ["calibrate", *DECAY_FLAGS, "--alpha", "1e-3"],
     "cli-simulate-oc-wl-cusum": ["simulate-oc", *GEM_FLAGS, "--alphas", "1e-1,1e-2", "--nu", "1",
                                  "--trials", "10", "--seed", "3", *SIM_FLAGS],
     "cli-simulate-oc-wl-glr": ["simulate-oc", *GEM_FLAGS, "--detector", "wl-glr",
@@ -132,6 +138,8 @@ CLI_CASES = {
                           "--trials", "6", "--seed", "1", "--max-steps", "300", *SIM_FLAGS],
     "cli-estimate-add": ["estimate-add", *GEM_FLAGS, "--alpha", "1e-2", "--nu", "1",
                          "--window", "10", "--trials", "8", "--seed", "5", *SIM_FLAGS],
+    "cli-estimate-add-decay": ["estimate-add", *DECAY_FLAGS, "--alpha", "1e-3", "--nu", "5",
+                               "--trials", "8", "--seed", "5", *SIM_FLAGS],
     "cli-diagnostics-gem": ["diagnostics", *GEM_FLAGS, "--x-max", "50", "--n-max", "20"],
     "cli-monitor-epi": ["monitor-epi", *EPI_FLAGS],
     "cli-fit-epi": ["fit-epi", *EPI_FLAGS, "--restarts", "3"],
@@ -150,6 +158,24 @@ def _cli_outputs(name, out_dir):
         if path.name != "run_manifest.json":
             digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     return digests
+
+
+def _cli_flags():
+    """Digest of each subcommand's options: strings, dest, default, required, choices.
+
+    --workers defaults to the machine's core count, so the parser is built as
+    on a 2-core machine.
+    """
+    with mock.patch("os.cpu_count", return_value=2):
+        parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: _digest([
+            [a.option_strings, a.dest, a.default, a.required, a.choices]
+            for a in sub._actions
+        ])
+        for command, sub in subparsers.choices.items()
+    }
 
 
 CASES = {
@@ -201,8 +227,12 @@ def test_cli_outputs_unchanged(name, frozen, tmp_path):
     assert _compute(name, tmp_path) == frozen[name]
 
 
+def test_cli_flags_unchanged(frozen):
+    assert _cli_flags() == frozen["cli-flags"]
+
+
 def test_every_frozen_case_still_runs(frozen):
-    assert sorted(frozen) == sorted([*NAMES, *CLI_CASES])
+    assert sorted(frozen) == sorted([*NAMES, *CLI_CASES, "cli-flags"])
 
 
 if __name__ == "__main__":
@@ -216,6 +246,7 @@ if __name__ == "__main__":
             out_dir = Path(tmp) / name  # each CLI case hashes every file of its own directory
             out_dir.mkdir()
             table[name] = _compute(name, out_dir)
+        table["cli-flags"] = _cli_flags()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(table)} cases to {GOLDEN}")
