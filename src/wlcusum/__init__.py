@@ -16,99 +16,16 @@ Quick start::
             break
 """
 
-from .models import (
-    SupportError,
-    ObservationModel,
-    GemModel,
-    DecayModel,
-    BetaWaveModel,
-    wave_multiplier,
-    build_model,
-)
-from .growth import GrowthCurve, check_growth_condition, lemma1_diagnostics
-from .calibration import (
-    CalibrationError,
-    cusum_threshold,
-    unit_ball_volume,
-    glr_threshold,
-    window_size,
-    gem_epsilon,
-)
-from .detectors import (
-    DetectorOutput,
-    WlCusum,
-    FullCusum,
-    WlGlr,
-    SrStatistic,
-    theta_grid,
-    run_until_alarm,
-)
-from .montecarlo import (
-    TrialPlan,
-    DelayEstimate,
-    QqReport,
-    run_trials,
-    estimate_mtfa,
-    estimate_add,
-    operating_characteristic,
-    geometric_qq,
-)
-from .epidata import (
-    CaseSeries,
-    FractionSeries,
-    BetaFit,
-    WaveFit,
-    MonitorResult,
-    load_case_csv,
-    to_fraction_series,
-    fit_beta_prechange,
-    fit_wave_shape,
-    monitor,
-)
+from . import calibration, detectors, epidata, growth, models, montecarlo
+from .models import *
+from .growth import *
+from .calibration import *
+from .detectors import *
+from .montecarlo import *
+from .epidata import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SupportError",
-    "ObservationModel",
-    "GemModel",
-    "DecayModel",
-    "BetaWaveModel",
-    "wave_multiplier",
-    "build_model",
-    "GrowthCurve",
-    "check_growth_condition",
-    "lemma1_diagnostics",
-    "CalibrationError",
-    "cusum_threshold",
-    "unit_ball_volume",
-    "glr_threshold",
-    "window_size",
-    "gem_epsilon",
-    "DetectorOutput",
-    "WlCusum",
-    "FullCusum",
-    "WlGlr",
-    "SrStatistic",
-    "theta_grid",
-    "run_until_alarm",
-    "TrialPlan",
-    "DelayEstimate",
-    "QqReport",
-    "run_trials",
-    "estimate_mtfa",
-    "estimate_add",
-    "operating_characteristic",
-    "geometric_qq",
-    "CaseSeries",
-    "FractionSeries",
-    "BetaFit",
-    "WaveFit",
-    "MonitorResult",
-    "load_case_csv",
-    "to_fraction_series",
-    "fit_beta_prechange",
-    "fit_wave_shape",
-    "monitor",
-    "__version__",
-]
+# every public name of the modules, in model-to-monitor order
+__all__ = [*models.__all__, *growth.__all__, *calibration.__all__, *detectors.__all__,
+           *montecarlo.__all__, *epidata.__all__, "__version__"]

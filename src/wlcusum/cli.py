@@ -58,47 +58,34 @@ _MTFA_ALPHA_FLOOR = 1e-4
 # argparse value parsers (failures become exit-2 usage errors)
 
 
-def _box_type(text: str):
-    try:
-        pairs = []
-        for part in text.split(","):
-            lo, hi = part.split(":")
-            lo, hi = float(lo), float(hi)
-            if not lo < hi:
-                raise ValueError
-            pairs.append((lo, hi))
-        if not pairs:
-            raise ValueError
-        return tuple(pairs)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated lo:hi pairs (lo < hi) like '0.1:5,1:20,0.1:5', "
-            f"got {text!r}"
-        ) from None
+def _comma_list(item, expected: str):
+    """argparse type: a comma-separated list, each part through item (ValueError if bad)."""
+    def parse(text: str):
+        try:
+            return tuple(item(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {expected}, got {text!r}") from None
+    return parse
 
 
-def _counts_type(text: str):
-    try:
-        counts = tuple(int(part) for part in text.split(","))
-        if not counts or any(c < 1 for c in counts):
-            raise ValueError
-        return counts
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated positive integers like '10,10,10', got {text!r}"
-        ) from None
+def _interval(part: str):
+    lo, hi = map(float, part.split(":"))
+    if not lo < hi:
+        raise ValueError
+    return lo, hi
 
 
-def _floats_type(text: str):
-    try:
-        values = tuple(float(part) for part in text.split(","))
-        if not values:
-            raise ValueError
-        return values
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers like '1e-2,1e-3', got {text!r}"
-        ) from None
+def _positive_int(part: str):
+    count = int(part)
+    if count < 1:
+        raise ValueError
+    return count
+
+
+_box_type = _comma_list(_interval, "lo:hi pairs (lo < hi) like '0.1:5,1:20,0.1:5'")
+_counts_type = _comma_list(_positive_int, "positive integers like '10,10,10'")
+_floats_type = _comma_list(float, "numbers like '1e-2,1e-3'")
 
 
 def _date_type(text: str) -> date:
@@ -165,7 +152,7 @@ def _window(args, model, alpha, *, sweep=False) -> int | None:
     """Explicit --window, else g^{-1}(|ln alpha|) padded by --safety (None if sweep)."""
     if args.window is not None:
         return args.window
-    if args.model == "betawave":
+    if model.peak_lag is not None:
         raise ValueError("the Beta wave model has no usable growth inverse for window "
                          "sizing; pass --window explicitly")
     return None if sweep else window_size(GrowthCurve(model), alpha, args.safety)
@@ -456,16 +443,13 @@ def _add_output_flag(parser):
 def _add_model_flags(parser):
     group = parser.add_argument_group("model")
     group.add_argument("--model", required=True, choices=sorted(_MODEL_KINDS))
-    group.add_argument("--mu0", type=float, help="gem: pre-change mean")
-    group.add_argument("--sigma0-sq", dest="sigma0_sq", type=float, help="gem: variance")
-    group.add_argument("--theta", type=float, help="gem/decay: drift parameter")
-    group.add_argument("--mu1", type=float, help="decay: initial post-change mean")
-    group.add_argument("--sigma-sq", dest="sigma_sq", type=float, help="decay: variance")
-    group.add_argument("--a0", type=float, help="betawave: pre-change Beta shape a")
-    group.add_argument("--b0", type=float, help="betawave: pre-change Beta shape b")
-    group.add_argument("--theta0", type=float, help="betawave: wave height exponent")
-    group.add_argument("--theta1", type=float, help="betawave: wave peak day")
-    group.add_argument("--theta2", type=float, help="betawave: wave width")
+    takers = {}  # parameter name -> the model kinds that take it, in table order
+    for kind, (_, names) in _MODEL_KINDS.items():
+        for name in names:
+            takers.setdefault(name, []).append(kind)
+    for name, kinds in takers.items():
+        group.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
+                           help=f"parameter of model {'/'.join(kinds)}")
 
 
 def _add_detector_flags(parser, *, include_alpha=True):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import BetaWaveModel, ObservationModel
+from .models import ObservationModel
 
 __all__ = [
     "GrowthCurve",
@@ -45,20 +45,12 @@ class GrowthCurve:
     def __init__(self, model: ObservationModel | None = None, *, increments=None):
         if (model is None) == (increments is None):
             raise ValueError("provide exactly one of model or increments")
-        self._model = model
         self._increments = increments if increments is not None else model.expected_llr_lags
         # _cum[j] == g(j); index 0 is the empty sum
         self._cum = np.zeros(1)
         self._lock = threading.Lock()
         self._warned_past_peak = False
-        if isinstance(model, BetaWaveModel):
-            self._peak_lag = math.ceil(model.theta[1])
-        else:
-            self._peak_lag = None
-
-    @property
-    def model(self):
-        return self._model
+        self._peak_lag = None if model is None else model.peak_lag
 
     def __getstate__(self):
         state = self.__dict__.copy()

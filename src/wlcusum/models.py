@@ -200,6 +200,10 @@ class ObservationModel:
     def theta_dim(self) -> int:
         raise NotImplementedError
 
+    # First lag at or past the peak of the post-change drift, None if it never
+    # peaks. Past it the growth curve saturates and its inverse is unreliable.
+    peak_lag = None
+
 
 def _norm_logpdf(x: float, mean: float, var: float) -> float:
     return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
@@ -392,11 +396,8 @@ class BetaWaveModel(ObservationModel):
             raise ValueError(f"theta must be a (theta0, theta1, theta2) triple, got {self.theta}")
         wave_multiplier(self.theta, 0.0)  # validates the triple
 
-    def h(self, lag):
-        return wave_multiplier(self.theta, lag)
-
     def _post_shape(self, lags):
-        return self.a0 * np.asarray(self.h(lags), dtype=float)
+        return self.a0 * np.asarray(wave_multiplier(self.theta, lags), dtype=float)
 
     def log_pre_density(self, x: float) -> float:
         x = float(x)
@@ -448,6 +449,10 @@ class BetaWaveModel(ObservationModel):
     @property
     def theta_dim(self):
         return 3
+
+    @property
+    def peak_lag(self):
+        return math.ceil(self.theta[1])
 
 
 def _beta_wave_model(a0, b0, theta0, theta1, theta2) -> BetaWaveModel:

@@ -150,12 +150,13 @@ class TestEstimateMtfa:
 
     def test_forced_small_run(self, tmp_path, capsys):
         out = tmp_path / "out"
-        code, payload, _ = _run(
-            capsys,
-            ["estimate-mtfa", *GEM, "--alpha", "1e-2", "--window", "25",
-             "--trials", "6", "--seed", "1", "--max-steps", "300",
-             "--workers", "1", "--out", str(out)],
-        )
+        with pytest.warns(RuntimeWarning, match="false-alarm trials hit the step cap"):
+            code, payload, _ = _run(
+                capsys,
+                ["estimate-mtfa", *GEM, "--alpha", "1e-2", "--window", "25",
+                 "--trials", "6", "--seed", "1", "--max-steps", "300",
+                 "--workers", "1", "--out", str(out)],
+            )
         assert code == 0
         assert payload["target_lower_bound"] == pytest.approx(100.0)
         trials = (out / "mtfa_trials.csv").read_text().splitlines()
@@ -305,12 +306,13 @@ class TestDiagnostics:
 
     def test_betawave_reports_written(self, tmp_path, capsys):
         out = tmp_path / "out"
-        code, _, err = _run(
-            capsys,
-            ["diagnostics", "--model", "betawave", "--a0", "20.6", "--b0", "2.94e5",
-             "--theta0", "0.464", "--theta1", "3.894", "--theta2", "0.445",
-             "--x-max", "50", "--n-max", "50", "--out", str(out)],
-        )
+        with pytest.warns(RuntimeWarning, match="growth evaluated past the wave peak"):
+            code, _, err = _run(
+                capsys,
+                ["diagnostics", "--model", "betawave", "--a0", "20.6", "--b0", "2.94e5",
+                 "--theta0", "0.464", "--theta1", "3.894", "--theta2", "0.445",
+                 "--x-max", "50", "--n-max", "50", "--out", str(out)],
+            )
         assert code == 0, err
         assert len((out / "lemma1.csv").read_text().splitlines()) == 50  # header + 49
 
