@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import date
 from pathlib import Path
 
@@ -148,22 +148,21 @@ def _threshold(args, alpha, glr_inputs) -> float:
     return glr_inputs.solve() if glr_inputs is not None else cusum_threshold(alpha)
 
 
-def _window(args, model, alpha, *, sweep=False) -> int | None:
-    """Explicit --window, else g^{-1}(|ln alpha|) padded by --safety (None if sweep)."""
+def _window(args, model, alpha) -> int | None:
+    """Explicit --window, else g^{-1}(|ln alpha|) padded by --safety."""
     if args.window is not None:
         return args.window
     if model.peak_lag is not None:
         raise ValueError("the Beta wave model has no usable growth inverse for window "
                          "sizing; pass --window explicitly")
-    return None if sweep else window_size(GrowthCurve(model), alpha, args.safety)
+    return window_size(GrowthCurve(model), alpha, args.safety)
 
 
-def _trial_plan(args, model, nu, alpha, *, sweep=False):
+def _trial_plan(args, model, nu, alpha):
     """The TrialPlan of a simulate/estimate run, calibrated at alpha, and its GLR inputs.
 
     The GLR inputs are None unless the detector is wl-glr. With --threshold
-    alone the window is sized at e^-b. sweep=True keeps --window as given (None
-    is sized per alpha) for operating_characteristic, which recalibrates.
+    alone the window is sized at e^-b.
     """
     grid = glr_inputs = None
     if args.detector == "wl-glr":
@@ -175,7 +174,7 @@ def _trial_plan(args, model, nu, alpha, *, sweep=False):
     window = None
     if args.detector != "full-cusum":
         alpha_eff = math.exp(-b) if alpha is None else alpha
-        window = _window(args, model, alpha_eff, sweep=sweep)
+        window = _window(args, model, alpha_eff)
     plan = TrialPlan(
         model=model,
         detector=args.detector,
@@ -197,15 +196,9 @@ def _write_json(path: Path, payload, written: list) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, date):
         return obj.isoformat()
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # The CSV cell rule, looked up by exact type to keep long tables cheap: a float
@@ -272,8 +265,10 @@ def _cmd_calibrate(args, out_dir, written):
 
 def _cmd_simulate_oc(args, out_dir, written):
     model = _build_model_from_args(args)
-    template, glr_inputs = _trial_plan(args, model, args.nu, args.alphas[0], sweep=True)
-    rows = operating_characteristic(template, args.alphas, safety=args.safety,
+    plan, glr_inputs = _trial_plan(args, model, args.nu, args.alphas[0])
+    if plan.window is not None:  # drop a window sized at alphas[0]: it is sized per alpha
+        plan = replace(plan, window=args.window)
+    rows = operating_characteristic(plan, args.alphas, safety=args.safety,
                                     glr_inputs=glr_inputs)
     _write_csv(out_dir / "oc.csv", *_oc_table(rows), written)
     payload = {
@@ -587,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(out_dir: Path, args, written: list, wall_time: float) -> Path:
+def _write_manifest(out_dir: Path, args, written: list, wall_time: float) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "command": args.subcommand,
@@ -601,9 +596,7 @@ def _write_manifest(out_dir: Path, args, written: list, wall_time: float) -> Pat
         "wall_time_s": wall_time,
         "outputs": [p.name for p in written],
     }
-    path = out_dir / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n")
-    return path
+    _write_json(out_dir / "run_manifest.json", manifest, written)
 
 
 def main(argv=None) -> int:

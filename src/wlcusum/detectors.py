@@ -123,7 +123,6 @@ class _LagBank:
 
     def reset(self):
         self.time = 0
-        self.statistic = 0.0
         self._lam = np.empty((0, 1, *self._shape))
 
     def _advance(self, lam: np.ndarray, s) -> np.ndarray:
@@ -156,8 +155,7 @@ class _LagBank:
         return lam
 
     def _output(self, statistic: float, k_star: int, theta_hat=None) -> DetectorOutput:
-        """Record this step's reduced statistic and report it against the threshold."""
-        self.statistic = statistic
+        """Report this step's reduced statistic against the threshold."""
         return DetectorOutput(self.time, statistic, statistic >= self.threshold, k_star, theta_hat)
 
 
@@ -191,9 +189,7 @@ class FullCusum(_LagBank):
         super().__init__(model, threshold, None)
 
     hypotheses = WlCusum.hypotheses
-
-    def step(self, x: float) -> DetectorOutput:
-        return self._output(*_bank_argmax(self._push(x), self.time))
+    step = WlCusum.step
 
 
 def theta_grid(bounds, counts) -> np.ndarray:

@@ -223,14 +223,14 @@ class WaveFit:
         }
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 72) -> tuple[float, float]:
-    """Golden-section minimizer on [lo, hi]; returns (argmin, min)."""
+def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimizer on [lo, hi] over 72 steps; returns (argmin, min)."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(72):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

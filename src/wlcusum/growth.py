@@ -36,30 +36,18 @@ _SATURATION_CAP = 50_000_000  # hard stop for inverse extension
 class GrowthCurve:
     """Lazily extended cache of cumulative KL increments for one model.
 
-    Thread-safe: cache extension happens under a lock. Instances survive
-    pickling (the lock is recreated), so they can ride along into worker
-    processes, though plans normally resolve growth-derived quantities before
-    dispatch.
+    Thread-safe: cache extension happens under a lock. Curves are not meant
+    to be pickled; a plan carries the model and resolves growth-derived
+    quantities (window, step cap) before dispatch to worker processes.
     """
 
-    def __init__(self, model: ObservationModel | None = None, *, increments=None):
-        if (model is None) == (increments is None):
-            raise ValueError("provide exactly one of model or increments")
-        self._increments = increments if increments is not None else model.expected_llr_lags
+    def __init__(self, model: ObservationModel):
+        self._increments = model.expected_llr_lags
         # _cum[j] == g(j); index 0 is the empty sum
         self._cum = np.zeros(1)
         self._lock = threading.Lock()
         self._warned_past_peak = False
-        self._peak_lag = None if model is None else model.peak_lag
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+        self._peak_lag = model.peak_lag
 
     def _warn_if_past_peak(self, n: int):
         if self._peak_lag is not None and n - 1 > self._peak_lag and not self._warned_past_peak:
@@ -97,14 +85,14 @@ class GrowthCurve:
 
         On plateaus (consecutive knots with equal value, which happens where a
         KL increment is exactly zero) the largest t with g(t) == x is returned;
-        this is the conservative choice for window sizing. Inverse queries that
-        exceed everything the curve can accumulate raise ValueError.
+        this is the conservative choice for window sizing. A query at or past
+        the total drift of a saturating curve raises ValueError.
         """
         x = float(x)
         if x < 0:
             raise ValueError(f"x must be >= 0, got {x}")
-        # extend until the cache covers x
-        while self._cum[-1] < x:
+        # extend until the cache passes x, so x sits left of the last knot
+        while self._cum[-1] <= x:
             have = len(self._cum) - 1
             target = max(64, 2 * have)
             if have >= _SATURATION_CAP:
@@ -115,25 +103,19 @@ class GrowthCurve:
             before = self._cum[-1]
             self._extend_to(target)
             gained = self._cum[-1] - before
-            if gained <= abs(x) * 1e-15 and self._cum[-1] < x:
+            if gained <= abs(x) * 1e-15 and self._cum[-1] <= x:
                 raise ValueError(
                     f"growth_inverse({x!r}): increments have decayed to nothing at "
                     f"n={len(self._cum) - 1} with g={float(self._cum[-1])!r}; the target "
                     "exceeds the total drift this model accumulates"
                 )
-        j = int(np.searchsorted(self._cum, x, side="left"))
-        if self._cum[j] == x:
-            # walk right across any plateau
-            while True:
-                if j + 1 >= len(self._cum):
-                    self._extend_to(j + 1)
-                if self._cum[j + 1] != x:
-                    break
-                j += 1
+        j = int(np.searchsorted(self._cum, x, side="right"))
+        lo, hi = self._cum[j - 1], self._cum[j]
+        if lo == x:
+            j -= 1  # the last knot of the plateau at x
             t = float(j)
         else:
             # strictly increasing segment [j-1, j]; solve the linear piece exactly
-            lo, hi = self._cum[j - 1], self._cum[j]
             t = (j - 1) + (x - lo) / (hi - lo)
         # the answer rests on knot j, so warn as growth(j) would
         self._warn_if_past_peak(j)
@@ -168,8 +150,6 @@ def check_growth_condition(
     num = max(2, round(points_per_decade * decades) + 1)
     xs = np.logspace(0.0, decades, num)
     inv = np.array([curve.growth_inverse(x) for x in xs])
-    if np.any(inv <= 0):
-        raise ValueError("growth_inverse hit 0 on the grid; raise the grid start")
     ratio = np.log(inv) / xs
     top = xs >= x_max / 10.0
     satisfied = bool(np.all(np.diff(ratio[top]) < 0))

@@ -120,8 +120,6 @@ class ObservationModel:
         nu may be math.inf for a pure pre-change stream. Times are 1-based;
         the observation at time n is post-change iff n >= nu, at lag n - nu.
         """
-        if length <= 0:
-            return np.empty(0)
         times = np.arange(start, start + length)
         if math.isinf(nu):
             return np.asarray(self.sample_pre(rng, size=length), dtype=float)
@@ -198,7 +196,8 @@ class ObservationModel:
 
     @property
     def theta_dim(self) -> int:
-        raise NotImplementedError
+        """Number of post-change drift parameters (the entries of theta)."""
+        return len(np.atleast_1d(self.theta))
 
     # First lag at or past the peak of the post-change drift, None if it never
     # peaks. Past it the growth curve saturates and its inverse is unreliable.
@@ -288,10 +287,6 @@ class GemModel(ObservationModel):
     def with_theta(self, theta):
         return replace(self, theta=float(theta))
 
-    @property
-    def theta_dim(self):
-        return 1
-
 
 @dataclass(frozen=True)
 class DecayModel(ObservationModel):
@@ -346,10 +341,6 @@ class DecayModel(ObservationModel):
 
     def with_theta(self, theta):
         return replace(self, theta=float(theta))
-
-    @property
-    def theta_dim(self):
-        return 1
 
 
 def wave_multiplier(theta, lag):
@@ -445,10 +436,6 @@ class BetaWaveModel(ObservationModel):
 
     def with_theta(self, theta):
         return replace(self, theta=tuple(float(v) for v in theta))
-
-    @property
-    def theta_dim(self):
-        return 3
 
     @property
     def peak_lag(self):

@@ -155,8 +155,6 @@ def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
             bad = int(live[np.isnan(best)][0]) + start
             raise FloatingPointError(f"NaN in the hypothesis bank of trial {bad} at step {n}")
         alarm = np.maximum(best, 0.0) >= threshold
-        if not alarm.any():
-            continue
         times[live[alarm]] = n
         censored[live[alarm]] = False
         stay = ~alarm
@@ -326,7 +324,7 @@ def operating_characteristic(
         m = template.window
         if m is None and template.detector != "full-cusum":
             m = window_size(curve, alpha, safety)
-        plan = replace(template, threshold=b, window=m, max_steps=template.max_steps)
+        plan = replace(template, threshold=b, window=m)
         rows.append(OcRow(alpha=float(alpha), threshold=b, window=m, delay=estimate_add(plan)))
     return rows
 
@@ -348,11 +346,12 @@ class QqReport:
     num_samples: int
 
 
-def geometric_qq(times, probs=None) -> QqReport:
+def geometric_qq(times) -> QqReport:
     """Compare uncensored stopping times against the fitted geometric law.
 
-    Requires at least 100 uncensored samples; constant samples have no
-    quantile spread and raise ValueError.
+    The quantiles are taken at the fixed grid of probabilities 0.01, 0.02,
+    ..., 0.99. Requires at least 100 uncensored samples; constant samples
+    have no quantile spread and raise ValueError.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 100:
@@ -361,9 +360,7 @@ def geometric_qq(times, probs=None) -> QqReport:
         raise ValueError("stopping times must be >= 1")
     if times.min() == times.max():
         raise ValueError("stopping times are constant; a QQ comparison is undefined")
-    if probs is None:
-        probs = np.arange(1, 100) / 100.0
-    probs = np.asarray(probs, dtype=float)
+    probs = np.arange(1, 100) / 100.0
     p_hat = 1.0 / times.mean()
     empirical = np.quantile(times, probs)
     theoretical = stats.geom.ppf(probs, p_hat)

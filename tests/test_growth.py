@@ -1,19 +1,28 @@
 """Growth curves, their inverses, and the regularity diagnostics."""
 
 import math
-import pickle
+import signal
 import warnings
 
 import numpy as np
 import pytest
 
 from wlcusum.growth import GrowthCurve, check_growth_condition, lemma1_diagnostics
-from wlcusum.models import BetaWaveModel, DecayModel, GemModel
+from wlcusum.models import BetaWaveModel, DecayModel, GemModel, ObservationModel
 
 GEM_GROWTH_N2 = 1.4762462210062797      # GemModel(1,1,1): KL(0) + KL(1)
 DECAY_GROWTH_N2 = 0.8789291416275995    # Decay(2,4,0.2): 0.5 + 0.37892914...
 GEM_FIG1_INVERSE = 20.740623031684613   # GemModel(0.1,1e4,0.4) at x = |ln 1e-3|
 DECAY_INVERSE_CONST = 1.355091881588681  # (1.2)^(5/3) for Decay(2,4,0.2)
+COUNTY_LAW = BetaWaveModel(20.6, 2.94e5, (0.464, 3.894, 0.445))
+COUNTY_TOTAL_DRIFT = 96.28531887763782  # g(20) of the county law; g is flat from n = 8
+
+
+class _Increments(ObservationModel):
+    """A model that is nothing but its KL increments, kl(lags)."""
+
+    def __init__(self, kl):
+        self.expected_llr_lags = kl
 
 
 def test_growth_frozen_values():
@@ -76,12 +85,38 @@ def test_inverse_of_zero_walks_the_plateau():
     assert GrowthCurve(DecayModel(2.0, 4.0, 0.2)).growth_inverse(0.0) == 0.0
 
 
+def test_inverse_takes_the_last_knot_of_a_plateau_mid_curve():
+    # increments 1, 0, 0, 1, 1, ...: g = 0, 1, 1, 1, 2, 3, ...
+    curve = GrowthCurve(_Increments(lambda lags: np.where((lags == 1) | (lags == 2), 0.0, 1.0)))
+    assert curve.growth_inverse(1.0) == 3.0
+    assert curve.growth_inverse(0.5) == 0.5
+    assert curve.growth_inverse(1.5) == 3.5
+    assert curve.growth_inverse(2.0) == 4.0
+
+
+def test_inverse_at_the_total_drift_raises_at_once():
+    def give_up(signum, frame):
+        raise TimeoutError("growth_inverse at the total drift did not return within 10 s")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # past the peak
+        assert GrowthCurve(COUNTY_LAW).growth(20) == COUNTY_TOTAL_DRIFT
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(ValueError, match="exceeds the total drift"):
+            GrowthCurve(COUNTY_LAW).growth_inverse(COUNTY_TOTAL_DRIFT)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_inverse_argument_errors():
     curve = GrowthCurve(GemModel(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         curve.growth_inverse(-0.5)
     # a saturating curve can never reach 2.0: increments sum to pi^2/6
-    flat = GrowthCurve(increments=lambda lags: 1.0 / (np.asarray(lags) + 1.0) ** 2)
+    flat = GrowthCurve(_Increments(lambda lags: 1.0 / (lags + 1.0) ** 2))
     with pytest.raises(ValueError):
         flat.growth_inverse(2.0)
 
@@ -120,7 +155,7 @@ def test_growth_condition_gem_and_decay_hold():
 
 def test_growth_condition_fails_for_log_curve():
     """g(n) = ln(n+1) gives g^{-1}(x) = e^x - 1: log g^{-1}(x) / x tends to 1."""
-    curve = GrowthCurve(increments=lambda lags: np.log((np.asarray(lags) + 2.0) / (np.asarray(lags) + 1.0)))
+    curve = GrowthCurve(_Increments(lambda lags: np.log((lags + 2.0) / (lags + 1.0))))
     report = check_growth_condition(curve, 12.0)
     assert not report.satisfied
 
@@ -182,8 +217,7 @@ def test_lemma1_stops_where_gem_sums_overflow():
 
 
 def test_betawave_growth_warns_past_peak():
-    model = BetaWaveModel(20.6, 2.94e5, (0.464, 3.894, 0.445))
-    curve = GrowthCurve(model)
+    curve = GrowthCurve(COUNTY_LAW)
     with pytest.warns(RuntimeWarning):
         curve.growth(10)  # lags past the wave peak: divergence shrinks again
 
@@ -219,17 +253,6 @@ def test_betawave_drift_stops_where_the_wave_dies_out(model, first_zero):
     assert f"decayed to nothing at n=128 with g={total!r};" in str(exc.value)
 
 
-def test_growth_curve_pickles():
-    curve = GrowthCurve(GemModel(0.1, 1e4, 0.4))
-    curve.growth(5)
-    clone = pickle.loads(pickle.dumps(curve))
-    assert clone.growth(8) == curve.growth(8)
-
-
 def test_growth_curve_constructor_validation():
-    with pytest.raises(ValueError):
-        GrowthCurve()
-    with pytest.raises(ValueError):
-        GrowthCurve(GemModel(1.0, 1.0, 1.0), increments=lambda lags: lags)
     with pytest.raises(ValueError):
         GrowthCurve(GemModel(1.0, 1.0, 1.0)).growth(-1)
