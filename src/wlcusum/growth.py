@@ -45,6 +45,7 @@ class GrowthCurve:
         self._increments = model.expected_llr_lags
         # _cum[j] == g(j); index 0 is the empty sum
         self._cum = np.zeros(1)
+        self._last_gain = math.inf  # what the last doubling in growth_inverse added
         self._lock = threading.Lock()
         self._warned_past_peak = False
         self._peak_lag = model.peak_lag
@@ -69,7 +70,10 @@ class GrowthCurve:
             inc = np.asarray(self._increments(lags), dtype=float)
             if np.any(inc < 0):
                 raise ValueError("negative KL increment; growth must be nondecreasing")
-            self._cum = np.concatenate([self._cum, self._cum[-1] + np.cumsum(inc)])
+            # one running sum from g(0), so no knot depends on where earlier queries stopped
+            cum = np.concatenate([self._cum, inc])
+            cum[have:] = np.cumsum(cum[have:])
+            self._cum = cum
 
     def growth(self, n: int) -> float:
         """g(n), the cumulative expected LLR over the first n post-change steps."""
@@ -91,19 +95,20 @@ class GrowthCurve:
         x = float(x)
         if x < 0:
             raise ValueError(f"x must be >= 0, got {x}")
-        # extend until the cache passes x, so x sits left of the last knot
+        # extend until the cache passes x, so x sits left of the last knot; a
+        # doubling that added next to nothing is not repeated for a later query
         while self._cum[-1] <= x:
             have = len(self._cum) - 1
-            target = max(64, 2 * have)
-            if have >= _SATURATION_CAP:
-                raise ValueError(
-                    f"growth_inverse({x!r}): curve saturated near {float(self._cum[-1])!r} "
-                    "without reaching the target"
-                )
-            before = self._cum[-1]
-            self._extend_to(target)
-            gained = self._cum[-1] - before
-            if gained <= abs(x) * 1e-15 and self._cum[-1] <= x:
+            if self._last_gain > abs(x) * 1e-15:
+                if have >= _SATURATION_CAP:
+                    raise ValueError(
+                        f"growth_inverse({x!r}): curve saturated near {float(self._cum[-1])!r} "
+                        "without reaching the target"
+                    )
+                before = self._cum[-1]
+                self._extend_to(max(64, 2 * have))
+                self._last_gain = self._cum[-1] - before
+            if self._last_gain <= abs(x) * 1e-15 and self._cum[-1] <= x:
                 raise ValueError(
                     f"growth_inverse({x!r}): increments have decayed to nothing at "
                     f"n={len(self._cum) - 1} with g={float(self._cum[-1])!r}; the target "

@@ -111,6 +111,26 @@ def test_inverse_at_the_total_drift_raises_at_once():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_knots_do_not_depend_on_earlier_queries():
+    model = DecayModel(2.0, 4.0, 0.2)
+    fresh = GrowthCurve(model).growth(300)
+    for k in range(1, 200):
+        curve = GrowthCurve(model)
+        curve.growth(k)
+        assert curve.growth(300) == fresh, k
+    primed, clean = GrowthCurve(model), GrowthCurve(model)
+    primed.growth(5)
+    for x in np.linspace(1.0, 200.0, 400):
+        assert primed.growth_inverse(x) == clean.growth_inverse(x), x
+
+
+def test_inverse_past_the_total_drift_does_not_extend_again():
+    curve = GrowthCurve(COUNTY_LAW)
+    for _ in range(18):
+        with pytest.raises(ValueError, match="decayed to nothing at n=128 with g="):
+            curve.growth_inverse(100.0)
+
+
 def test_inverse_argument_errors():
     curve = GrowthCurve(GemModel(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
