@@ -134,6 +134,8 @@ class GrowthConditionReport:
     The procedure's delay guarantees need log g^{-1}(x) to grow sublinearly in
     x; empirically that shows up as this ratio falling. `satisfied` is True
     when the ratio decreased monotonically over the top decade of the grid.
+    A curve that saturates below x_max fails the condition: its grid stops
+    before the first x at or past its total drift, and `satisfied` is False.
     """
 
     x: np.ndarray
@@ -154,10 +156,17 @@ def check_growth_condition(
     decades = math.log10(x_max)
     num = max(2, round(points_per_decade * decades) + 1)
     xs = np.logspace(0.0, decades, num)
-    inv = np.array([curve.growth_inverse(x) for x in xs])
+    inv = []
+    for x in xs:
+        try:
+            inv.append(curve.growth_inverse(x))
+        except ValueError:  # at or past the total drift of a saturating curve
+            break
+    saturated = len(inv) < num
+    xs = xs[: len(inv)]
     ratio = np.log(inv) / xs
     top = xs >= x_max / 10.0
-    satisfied = bool(np.all(np.diff(ratio[top]) < 0))
+    satisfied = not saturated and bool(np.all(np.diff(ratio[top]) < 0))
     return GrowthConditionReport(x=xs, ratio=ratio, satisfied=satisfied, x_max=x_max)
 
 

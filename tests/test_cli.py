@@ -317,17 +317,21 @@ class TestDiagnostics:
         assert len((out / "lemma1.csv").read_text().splitlines()) == 50  # header + 49
 
     def test_betawave_default_x_max_fails_fast(self, tmp_path, capsys):
-        # the county wave's drift ends near 96.29, below the default --x-max of 100
+        # the county wave's drift ends near 96.29, below the default --x-max of 100:
+        # the grid stops before the first x past it and the condition fails
         out = tmp_path / "out"
-        code, _, err = _run(
-            capsys,
-            ["diagnostics", "--model", "betawave", "--a0", "20.6", "--b0", "2.94e5",
-             "--theta0", "0.464", "--theta1", "3.894", "--theta2", "0.445",
-             "--out", str(out)],
-        )
-        assert code == 1
-        assert "at n=128 with g=96.28531887763782; the target exceeds the total drift" in err
-        assert not any(out.iterdir())
+        with pytest.warns(RuntimeWarning, match="past the wave peak"):
+            code, payload, err = _run(
+                capsys,
+                ["diagnostics", "--model", "betawave", "--a0", "20.6", "--b0", "2.94e5",
+                 "--theta0", "0.464", "--theta1", "3.894", "--theta2", "0.445",
+                 "--out", str(out)],
+            )
+        assert code == 0, err
+        assert payload["growth_condition"] == {"satisfied": False, "x_max": 100.0}
+        rows = _read_csv(out / "growth_condition.csv")
+        assert len(rows) == 20
+        assert float(rows[-1]["x"]) == pytest.approx(79.43, abs=0.005)
 
 
 class TestMonitorEpi:

@@ -180,6 +180,15 @@ def test_growth_condition_fails_for_log_curve():
     assert not report.satisfied
 
 
+def test_growth_condition_fails_where_the_curve_saturates():
+    # the county wave's total drift, 96.29, lies between grid points 79.43 and 100
+    report = check_growth_condition(GrowthCurve(COUNTY_LAW), 100.0)
+    assert not report.satisfied
+    assert report.x_max == 100.0
+    assert report.x.shape == report.ratio.shape == (20,)
+    assert np.all(report.x < COUNTY_TOTAL_DRIFT)
+
+
 def test_growth_condition_report_dict():
     report = check_growth_condition(GrowthCurve(GemModel(0.1, 1e4, 0.4)), 50.0)
     assert report.satisfied is True
