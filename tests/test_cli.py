@@ -17,6 +17,9 @@ from wlcusum.models import wave_multiplier
 REPO = Path(__file__).resolve().parents[1]
 COUNTY_THETA = (0.464, 3.894, 0.445)
 GEM = ["--model", "gem", "--mu0", "0.1", "--sigma0-sq", "1e4", "--theta", "0.4"]
+SYNTHETIC_COUNTY = ["--input", str(REPO / "demos" / "data" / "synthetic_county.csv"),
+                    "--population", "1e6", "--start-date", "2020-07-01",
+                    "--theta-box", "0.1:5,1:20,0.1:5"]
 
 
 def _case_csv(path, *, days=90, onset=50, seed=2020, noiseless_post=False):
@@ -368,6 +371,24 @@ class TestMonitorEpi:
                (tmp_path / "out_b/trajectory.csv").read_bytes()
         # nothing written outside the chosen output directories
         assert {p.name for p in tmp_path.iterdir()} == {"cases.csv", "out_a", "out_b"}
+
+    def test_one_grid_count_is_used_for_every_dimension(self, tmp_path, capsys):
+        def trajectory(counts):
+            out = tmp_path / counts.replace(",", "-")
+            code, _, err = _run(capsys, ["monitor-epi", *SYNTHETIC_COUNTY,
+                                         "--grid-counts", counts, "--out", str(out)])
+            assert code == 0, err
+            return (out / "trajectory.csv").read_bytes()
+
+        assert trajectory("2") == trajectory("2,2,2")
+
+    def test_grid_counts_of_the_wrong_length_fail(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = _run(capsys, ["monitor-epi", *SYNTHETIC_COUNTY,
+                                     "--grid-counts", "2,2", "--out", str(out)])
+        assert code == 1
+        assert "--grid-counts needs 1 or 3 entries, got 2" in err
+        assert not any(out.iterdir())
 
     def test_start_date_outside_series_fails_cleanly(self, tmp_path, capsys):
         _case_csv(tmp_path / "cases.csv")
