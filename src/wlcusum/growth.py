@@ -71,9 +71,7 @@ class GrowthCurve:
             if np.any(inc < 0):
                 raise ValueError("negative KL increment; growth must be nondecreasing")
             # one running sum from g(0), so no knot depends on where earlier queries stopped
-            cum = np.concatenate([self._cum, inc])
-            cum[have:] = np.cumsum(cum[have:])
-            self._cum = cum
+            self._cum = np.concatenate([self._cum[:-1], np.cumsum(np.r_[self._cum[-1], inc])])
 
     def growth(self, n: int) -> float:
         """g(n), the cumulative expected LLR over the first n post-change steps."""
@@ -162,11 +160,10 @@ def check_growth_condition(
             inv.append(curve.growth_inverse(x))
         except ValueError:  # at or past the total drift of a saturating curve
             break
-    saturated = len(inv) < num
     xs = xs[: len(inv)]
     ratio = np.log(inv) / xs
     top = xs >= x_max / 10.0
-    satisfied = not saturated and bool(np.all(np.diff(ratio[top]) < 0))
+    satisfied = len(xs) == num and bool(np.all(np.diff(ratio[top]) < 0))
     return GrowthConditionReport(x=xs, ratio=ratio, satisfied=satisfied, x_max=x_max)
 
 
