@@ -89,6 +89,25 @@ def _stream(detector, model_name):
     return ints, floats
 
 
+def _long_stream(detector, model_name):
+    # 3,000 pre-change steps: past GEM's first dead lag (888 at theta = 0.4) and
+    # past numpy's 128-entry pairwise-sum block, so the SR sum takes its full shape
+    model = MODELS[model_name][0]
+    xs = model.sample_segment(np.random.default_rng(4), math.inf, 1, 3000)
+    det = {
+        "wl-cusum": lambda: WlCusum(model, 5.0, 2000),
+        "full-cusum": lambda: FullCusum(model, 5.0),
+        "sr": lambda: SrStatistic(model, 50.0),
+    }[detector]()
+    outs, log_values = [], []
+    for x in xs:
+        outs.append(det.step(x))
+        if detector == "sr":
+            log_values.append(det.log_value)
+    ints = [[o.k_star for o in outs], [o.time for o in outs if o.alarm]]
+    return ints, [o.statistic for o in outs] + log_values
+
+
 def _calibration():
     gem = GrowthCurve(MODELS["gem"][0])
     alphas = [1e-1, 1e-2, 1e-3, 1e-4, 1e-6]
@@ -186,6 +205,11 @@ CASES = {
     **{
         f"stream-{d}-{m}": (lambda d=d, m=m: _stream(d, m))
         for d in ("wl-cusum", "full-cusum", "wl-glr", "sr") for m in MODELS
+    },
+    **{
+        f"long-{d}-{m}": (lambda d=d, m=m: _long_stream(d, m))
+        for d, m in (("full-cusum", "gem"), ("sr", "gem"), ("wl-cusum", "gem"),
+                     ("full-cusum", "decay"), ("sr", "decay"))
     },
     "calibration-gem": _calibration,
 }
