@@ -3,17 +3,21 @@
 Every detector keeps one cumulative log-likelihood-ratio sum lambda_{n,k} per
 hypothesized change point k. All implemented models have LLR coefficients that
 depend on (n, k) only through the lag n - k, so the sums are stored in lag
-order (entry 0 is the newest hypothesis k = n) and one vectorized multiply-add
-per step updates the whole bank. ``_LagBank`` owns that array, its window, the
-coefficient tables from ``llr_terms``, the step counter and the update, which
-Monte Carlo reuses to advance many trials' banks at once; each detector is
-the bank plus a reduction:
+order, oldest first (the last entry is the newest hypothesis k = n), and one
+vectorized multiply-add per step updates the whole bank. ``_LagBank`` owns
+that array, its window, the coefficient tables from ``llr_terms``, the step
+counter and the update, which Monte Carlo reuses to advance many trials'
+banks at once. The bank stops at the model's first dead lag, where every
+coefficient column is pinned at slope 0 and intercept -inf: a hypothesis
+that old is -inf for any finite observation and can never win again. Each
+detector is the bank plus a reduction:
 
 - ``WlCusum``: the bank windowed to the newest m + 1 hypotheses, reduced by
   the max, so per-step work is capped at O(m);
-- ``FullCusum``: the same bank with no window, the exact O(n) reference whose
+- ``FullCusum``: the same bank with no window, the exact reference whose
   statistic cannot be simplified into a one-number recursion once the
-  post-change family drifts with the lag;
+  post-change family drifts with the lag. It costs O(n) per step, or
+  O(first dead lag) on a model that has one (GEM);
 - ``WlGlr``: a windowed bank with one column per theta grid point, reduced
   by the max over lags and grid points;
 - ``SrStatistic``: the full bank reduced by log-sum-exp (Shiryaev-Roberts).
@@ -28,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import ObservationModel
 
@@ -70,34 +73,70 @@ class StoppingRecord:
     statistic: float
 
 
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over every entry of a, summed in the order given.
+
+    The arithmetic of ``scipy.special.logsumexp`` with its defaults, and so
+    the same bits, without its array-API dispatch: the entries equal to the
+    max are counted (m) and left out of the shifted sum s, the result is
+    log1p(s / m) + log(m) + max, and the direct log(sum(exp(a))) stands in
+    when that is not finite (an infinite or NaN max, or all -inf).
+    """
+    a = np.ascontiguousarray(a, dtype=float).ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        top = a == a_max
+        m = np.float64(np.count_nonzero(top))
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
 def _bank_argmax(lam: np.ndarray, n: int) -> tuple[float, int]:
-    """Max over a lag-ordered bank with smallest-k tie-breaking.
+    """Max over an oldest-first (L, 1) bank with smallest-k tie-breaking.
 
     Returns (statistic, k_star) where statistic = max(0, max lambda). The
-    empty hypothesis (value 0, index n+1) wins only when every real
-    hypothesis is strictly negative. A NaN max (+inf met -inf in some entry)
-    raises FloatingPointError: it is neither an alarm nor "no change".
+    first maximiser is the oldest hypothesis, so ties go to the smallest k.
+    The empty hypothesis (value 0, index n+1) wins only when every real
+    hypothesis is strictly negative. A NaN (+inf met -inf in some entry) is
+    the first maximiser whenever there is one, and raises
+    FloatingPointError: it is neither an alarm nor "no change".
     """
-    best = float(lam.max())
+    i = int(lam.argmax())
+    best = float(lam[i, 0])
     if best < 0.0:
         return 0.0, n + 1
     if math.isnan(best):
         raise FloatingPointError(f"NaN in the hypothesis bank at step {n}")
-    # smallest k == largest lag; ties resolved toward the oldest hypothesis
-    i = int(np.flatnonzero(lam == best)[-1])
-    return best, n - i
+    return best, n - len(lam) + 1 + i
 
 
 class _LagBank:
-    """Lag-ordered LLR sums: entry i on the first axis is hypothesis k = time - i.
+    """LLR sums stored oldest first: of L entries on the first axis, entry i
+    is hypothesis k = time - L + 1 + i, and the last is the newest, k = time.
 
     The bank is (L, 1) for a single model, or (L, 1, G) with one column per
     theta of ``grid`` (each built by overriding the model's theta). The unit
     axis is the trial axis: a lockstep Monte Carlo chunk holds (L, T[, G]) for
     T trials and advances it with the same ``_advance`` as a detector's own
-    step. With window=None the bank keeps every hypothesis since the last
-    reset and doubles its coefficient tables as the history outgrows them;
-    otherwise hypotheses older than the window are evicted, so L <= window + 1.
+    step. The coefficient tables run in the same order, lag cap - 1 first and
+    lag 0 last, so a bank of L entries lines up with their last L rows.
+
+    With window=None the bank keeps every hypothesis since the last reset and
+    doubles its coefficient tables as the history outgrows them; otherwise
+    hypotheses older than the window are evicted, so L <= window + 1. Either
+    way the bank stops at the first dead lag, the first lag whose terms are
+    pinned at slope 0 and intercept -inf in every column (GEM pins a lag once
+    its terms overflow, and every later lag too). From there on a hypothesis
+    is -inf for any finite observation and never wins again, so the bank
+    evicts it instead of adding to it: L is at most the first dead lag, a
+    full-history bank becomes a window-limited one, and a +inf entry from a
+    live lag never meets a -inf intercept. ``window`` keeps the caller's
+    value.
     """
 
     def __init__(self, model: ObservationModel, threshold: float, window: int | None, grid=None):
@@ -108,43 +147,50 @@ class _LagBank:
         self.window = window
         self._models = [model] if grid is None else [model.with_theta(t) for t in grid]
         self._shape = () if grid is None else (len(self._models),)
+        self._grows = window is None
         self._cap = 64 if window is None else window + 1
         self._load_terms()
         self.reset()
 
     def _load_terms(self):
         lags = np.arange(self._cap)
-        slopes, intercepts = zip(*(m.llr_terms(lags) for m in self._models))
+        # (cap, G) tables in lag order, one column per model
+        slopes, intercepts = np.array([m.llr_terms(lags) for m in self._models],
+                                      dtype=float).transpose(1, 2, 0)
+        dead = ((slopes == 0.0) & (intercepts == -np.inf)).all(axis=1)
+        if dead.any():
+            self._cap, self._grows = int(dead.argmax()), False
         shape = (self._cap, 1, *self._shape)
-        self._slopes = np.ascontiguousarray(np.transpose(slopes), dtype=float).reshape(shape)
-        self._intercepts = np.ascontiguousarray(np.transpose(intercepts), dtype=float).reshape(shape)
+        self._slopes = np.ascontiguousarray(slopes[self._cap - 1 :: -1]).reshape(shape)
+        self._intercepts = np.ascontiguousarray(intercepts[self._cap - 1 :: -1]).reshape(shape)
         # -0.0 -> +0.0: a new hypothesis is 0 + Z, never -0.0 (GEM's lag-0 intercept is -0.0)
-        self._intercepts[0] += 0.0
+        self._intercepts[-1] += 0.0
 
     def reset(self):
         self.time = 0
         self._lam = np.empty((0, 1, *self._shape))
 
     def _advance(self, lam: np.ndarray, s) -> np.ndarray:
-        """Prepend the hypothesis k = n to (L, T[, G]) banks and add Z(s; lag) to every entry.
+        """Append the hypothesis k = n to (L, T[, G]) banks and add Z(s; lag) to every entry.
 
         s is one sufficient statistic, or one per trial shaped (T[, 1]). The
         result is one new array: Z = slope * s + intercept at every lag, plus
-        the old bank at lags 1 and up. Entry 0, the new hypothesis, is Z
-        alone, bit-equal to 0 + Z because the lag-0 intercept is stored as
-        +0.0. Evicts past the window, or grows the shared coefficient tables;
-        the bank's own entries and clock are left alone.
+        the old bank at lags 1 and up. The last entry, the new hypothesis, is
+        Z alone, bit-equal to 0 + Z because the lag-0 intercept is stored as
+        +0.0. Evicts past the window or the first dead lag, or grows the
+        shared coefficient tables; the bank's own entries and clock are left
+        alone.
         """
-        keep = len(lam)
-        if keep == self._cap:
-            if self.window is not None:
-                keep -= 1  # evict the oldest hypothesis
-            else:
+        if len(lam) == self._cap:
+            if self._grows:
                 self._cap *= 2
                 self._load_terms()
-        z = self._slopes[: keep + 1] * s
-        z += self._intercepts[: keep + 1]
-        z[1:] += lam[:keep]
+            else:
+                lam = lam[1:]  # evict the oldest hypothesis
+        rows = -1 - len(lam)  # the kept hypotheses' lags, then lag 0
+        z = self._slopes[rows:] * s
+        z += self._intercepts[rows:]
+        z[:-1] += lam
         return z
 
     def _push(self, x: float) -> np.ndarray:
@@ -172,7 +218,7 @@ class WlCusum(_LagBank):
     def hypotheses(self) -> list[tuple[int, float]]:
         """Active (k, lambda_{n,k}) pairs, newest hypothesis first."""
         n = self.time
-        return [(n - lag, float(v)) for lag, v in enumerate(self._lam[:, 0])]
+        return [(n - lag, float(v)) for lag, v in enumerate(self._lam[::-1, 0])]
 
     def step(self, x: float) -> DetectorOutput:
         return self._output(*_bank_argmax(self._push(x), self.time))
@@ -181,8 +227,10 @@ class WlCusum(_LagBank):
 class FullCusum(_LagBank):
     """Full-history CuSum: max over every hypothesis k in {1 .. n}.
 
-    O(n) per step and O(n) memory; the exact reference the window-limited
-    detector approximates from below. Intended for desk-scale runs and tests.
+    O(n) per step and O(n) memory, the exact reference the window-limited
+    detector approximates from below; intended for desk-scale runs and tests.
+    On a model with a dead lag d (GEM) it is exactly WlCusum with m = d - 1,
+    in O(d) time and memory per step.
     """
 
     def __init__(self, model: ObservationModel, threshold: float):
@@ -253,8 +301,9 @@ class WlGlr(_LagBank):
         statistic, k_star = _bank_argmax(lam.max(axis=2), n)
         theta_hat = None
         if k_star <= n:
-            # grid points are lexicographically ordered; argmax takes the first
-            theta_hat = self.grid[int(np.argmax(lam[n - k_star, 0]))]
+            # lag l sits in row -1 - l; grid points are lexicographically
+            # ordered and argmax takes the first
+            theta_hat = self.grid[int(np.argmax(lam[k_star - n - 1, 0]))]
         return self._output(statistic, k_star, theta_hat)
 
 
@@ -264,7 +313,8 @@ class SrStatistic(_LagBank):
     Kept in the log domain so overflow cannot corrupt the accumulation.
     Under the pre-change law, E[R_n] = n exactly, which makes this the
     Monte-Carlo oracle backing the false-alarm calibration. Full history,
-    desk-scale use.
+    desk-scale use. The sum runs newest hypothesis first, the order its
+    pairwise summation has always had, so its bits do not change.
     """
 
     def __init__(self, model: ObservationModel, threshold: float = math.inf):
@@ -274,7 +324,7 @@ class SrStatistic(_LagBank):
     def log_value(self) -> float:
         if len(self._lam) == 0:
             return -math.inf  # R_0 = 0
-        return float(logsumexp(self._lam))
+        return float(logsumexp(self._lam[::-1]))
 
     @property
     def value(self) -> float:
