@@ -89,11 +89,13 @@ def _stream(detector, model_name):
     return ints, floats
 
 
-def _long_stream(detector, model_name):
-    # 3,000 pre-change steps: past GEM's first dead lag (888 at theta = 0.4) and
-    # past numpy's 128-entry pairwise-sum block, so the SR sum takes its full shape
+def _long_stream(detector, model_name, nu=math.inf):
+    # 3,000 steps: past GEM's first dead lag (888 at theta = 0.4) and past
+    # numpy's 128-entry pairwise-sum block, so the SR sum takes its full shape.
+    # nu = 2200 leaves 800 post-change steps, where the hypotheses that dominate
+    # lie far from the newest but short of the lag at which GEM's terms overflow
     model = MODELS[model_name][0]
-    xs = model.sample_segment(np.random.default_rng(4), math.inf, 1, 3000)
+    xs = model.sample_segment(np.random.default_rng(4), nu, 1, 3000)
     det = {
         "wl-cusum": lambda: WlCusum(model, 5.0, 2000),
         "full-cusum": lambda: FullCusum(model, 5.0),
@@ -210,6 +212,10 @@ CASES = {
         f"long-{d}-{m}": (lambda d=d, m=m: _long_stream(d, m))
         for d, m in (("full-cusum", "gem"), ("sr", "gem"), ("wl-cusum", "gem"),
                      ("full-cusum", "decay"), ("sr", "decay"))
+    },
+    **{
+        f"long-{d}-gem-change": (lambda d=d: _long_stream(d, "gem", nu=2200))
+        for d in ("full-cusum", "sr")
     },
     "calibration-gem": _calibration,
 }
