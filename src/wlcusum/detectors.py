@@ -184,8 +184,8 @@ class _LagBank:
         if len(lam) == self._cap:
             if self._grows:
                 self._cap *= 2
-                self._load_terms()
-            else:
+                self._load_terms()  # may find the first dead lag at the old cap
+            if len(lam) == self._cap:
                 lam = lam[1:]  # evict the oldest hypothesis
         rows = -1 - len(lam)  # the kept hypotheses' lags, then lag 0
         z = self._slopes[rows:] * s

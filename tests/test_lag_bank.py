@@ -9,6 +9,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from wlcusum import detectors
 from wlcusum.detectors import FullCusum, SrStatistic, WlCusum, WlGlr
 from wlcusum.models import BetaWaveModel, DecayModel, GemModel
+from wlcusum.montecarlo import TrialPlan, run_trials
 
 GEM = GemModel(0.1, 1e4, 0.4)
 GEM_DEAD_LAG = 888  # first lag whose GEM (theta = 0.4) terms overflow and are pinned
@@ -58,6 +59,39 @@ def test_glr_bank_is_cut_only_where_every_column_is_dead():
         dead.step(x)
     assert len(mixed._lam) == 1001
     assert len(dead._lam) == GEM_DEAD_LAG
+
+
+# GEM thetas whose first dead lag is a power of two: a full-history bank finds
+# it when its tables double from that very cap, with the bank already full
+DEAD_AT_OLD_CAP = [(0.694, 512), (1.387, 256)]
+
+
+@pytest.mark.parametrize("theta, dead_lag", DEAD_AT_OLD_CAP)
+def test_full_history_banks_stop_at_a_dead_lag_equal_to_the_old_cap(theta, dead_lag):
+    model = GemModel(0.1, 1e4, theta)
+    xs = model.sample_segment(np.random.default_rng(23), math.inf, 1, dead_lag + 100)
+    full, sr = FullCusum(model, 5.0), SrStatistic(model)
+    wl = WlCusum(model, 5.0, dead_lag - 1)
+    for x in xs:
+        a, b = full.step(x), wl.step(x)
+        sr.step(x)
+        assert _bits(a.statistic) == _bits(b.statistic)
+        assert a.k_star == b.k_star
+    assert len(full._lam) == len(sr._lam) == dead_lag
+
+
+@pytest.mark.parametrize("theta, dead_lag", DEAD_AT_OLD_CAP)
+def test_lockstep_full_cusum_stops_at_a_dead_lag_equal_to_the_old_cap(theta, dead_lag):
+    # the change comes after the dead lag, so every trial steps through the cut
+    def plan(detector, window):
+        return TrialPlan(model=GemModel(0.1, 1e4, theta), detector=detector, threshold=8.0,
+                         window=window, nu=dead_lag + 50, num_trials=6, seed=3,
+                         max_steps=dead_lag + 150)
+
+    times, censored = run_trials(plan("full-cusum", None))
+    wl_times, wl_censored = run_trials(plan("wl-cusum", dead_lag - 1))
+    assert times.tolist() == wl_times.tolist()
+    assert censored.tolist() == wl_censored.tolist()
 
 
 @pytest.mark.parametrize("model", [DecayModel(2.0, 4.0, 0.2), COUNTY], ids=["decay", "betawave"])
