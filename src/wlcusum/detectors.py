@@ -155,11 +155,12 @@ class _LagBank:
     def _load_terms(self):
         lags = np.arange(self._cap)
         # (cap, G) tables in lag order, one column per model
-        slopes, intercepts = np.array([m.llr_terms(lags) for m in self._models],
-                                      dtype=float).transpose(1, 2, 0)
-        dead = ((slopes == 0.0) & (intercepts == -np.inf)).all(axis=1)
-        if dead.any():
-            self._cap, self._grows = int(dead.argmax()), False
+        slopes, intercepts = (np.array(t, dtype=float).T
+                              for t in zip(*(m.llr_terms(lags) for m in self._models)))
+        if intercepts.min() == -np.inf:  # else no lag is pinned, at one pass's cost
+            dead = ((slopes == 0.0) & (intercepts == -np.inf)).all(axis=1)
+            if dead.any():
+                self._cap, self._grows = int(dead.argmax()), False
         shape = (self._cap, 1, *self._shape)
         self._slopes = np.ascontiguousarray(slopes[self._cap - 1 :: -1]).reshape(shape)
         self._intercepts = np.ascontiguousarray(intercepts[self._cap - 1 :: -1]).reshape(shape)
