@@ -73,6 +73,10 @@ class StoppingRecord:
     statistic: float
 
 
+# below its bound on |s| a bank keeps every entry under this, so no update overflows
+_ROOM = float(np.finfo(float).max) / 4.0
+
+
 def logsumexp(a) -> float:
     """log(sum(exp(a))) over every entry of a, summed in the order given.
 
@@ -120,7 +124,8 @@ class _LagBank:
     is hypothesis k = time - L + 1 + i, and the last is the newest, k = time.
 
     The bank is (L, 1) for a single model, or (L, 1, G) with one column per
-    theta of ``grid`` (each built by overriding the model's theta). The unit
+    theta of ``grid``, whose tables come from one ``llr_terms`` call on the
+    model with its theta replaced by the whole grid. The unit
     axis is the trial axis: a lockstep Monte Carlo chunk holds (L, T[, G]) for
     T trials and advances it with the same ``_advance`` as a detector's own
     step. The coefficient tables run in the same order, lag cap - 1 first and
@@ -137,6 +142,11 @@ class _LagBank:
     full-history bank becomes a window-limited one, and a +inf entry from a
     live lag never meets a -inf intercept. ``window`` keeps the caller's
     value.
+
+    Past a bound on |s| set with each table build, an entry may overflow to
+    +-inf, which is a valid statistic. From the first such s until reset the
+    bank steps with overflow warnings off; below it no update can overflow,
+    and the step pays for one comparison instead.
     """
 
     def __init__(self, model: ObservationModel, threshold: float, window: int | None, grid=None):
@@ -145,19 +155,23 @@ class _LagBank:
         self.model = model
         self.threshold = float(threshold)
         self.window = window
-        self._models = [model] if grid is None else [model.with_theta(t) for t in grid]
-        self._shape = () if grid is None else (len(self._models),)
+        # answers llr_terms for every column at once
+        self._terms = model if grid is None else model.with_theta(grid)
+        self._shape = () if grid is None else (len(grid),)
         self._grows = window is None
         self._cap = 64 if window is None else window + 1
         self._load_terms()
         self.reset()
 
-    def _load_terms(self):
-        lags = np.arange(self._cap)
-        # (cap, G) tables in lag order, one column per model
-        slopes, intercepts = (np.array(t, dtype=float).T
-                              for t in zip(*(m.llr_terms(lags) for m in self._models)))
-        if intercepts.min() == -np.inf:  # else no lag is pinned, at one pass's cost
+    def _load_terms(self, lam=None):
+        """Coefficient tables for lags 0 .. cap - 1 and the overflow bound on |s|.
+
+        lam is the bank the tables are grown for, None when there is none yet.
+        """
+        # (cap, G) tables in lag order, one column per grid point (G = 1 without one)
+        slopes, intercepts = self._terms.llr_terms(np.arange(self._cap)[:, None])
+        pinned = intercepts.min() == -np.inf
+        if pinned:  # else no lag is pinned, at one pass's cost
             dead = ((slopes == 0.0) & (intercepts == -np.inf)).all(axis=1)
             if dead.any():
                 self._cap, self._grows = int(dead.argmax()), False
@@ -166,10 +180,19 @@ class _LagBank:
         self._intercepts = np.ascontiguousarray(intercepts[self._cap - 1 :: -1]).reshape(shape)
         # -0.0 -> +0.0: a new hypothesis is 0 + Z, never -0.0 (GEM's lag-0 intercept is -0.0)
         self._intercepts[-1] += 0.0
+        # An entry gains at most cap more terms, each at most max|slope| |s| +
+        # max|intercept| (a pinned -inf cannot overflow), on top of what it
+        # holds now; below this |s| they all stay under _ROOM. Python floats
+        # give +-inf where the division overflows, NaN (never) for a NaN slope.
+        live = self._intercepts[self._intercepts > -np.inf] if pinned else self._intercepts
+        held = 0.0 if lam is None else float(np.abs(lam).max(initial=0.0))
+        room = (_ROOM - held) / self._cap - float(np.abs(live).max(initial=0.0))
+        self._s_safe = room / max(float(np.abs(self._slopes).max()), math.ulp(0.0))
 
     def reset(self):
         self.time = 0
         self._lam = np.empty((0, 1, *self._shape))
+        self._hot = False  # set by the first |s| past _s_safe
 
     def _advance(self, lam: np.ndarray, s) -> np.ndarray:
         """Append the hypothesis k = n to (L, T[, G]) banks and add Z(s; lag) to every entry.
@@ -185,7 +208,7 @@ class _LagBank:
         if len(lam) == self._cap:
             if self._grows:
                 self._cap *= 2
-                self._load_terms()  # may find the first dead lag at the old cap
+                self._load_terms(lam)  # may find the first dead lag at the old cap
             if len(lam) == self._cap:
                 lam = lam[1:]  # evict the oldest hypothesis
         rows = -1 - len(lam)  # the kept hypotheses' lags, then lag 0
@@ -197,7 +220,13 @@ class _LagBank:
     def _push(self, x: float) -> np.ndarray:
         """Advance this bank by one observation; returns the (L, 1[, G]) bank."""
         s = self.model.sufficient_stat(x)  # raises off-support, state unchanged
-        self._lam = lam = self._advance(self._lam, s)
+        if self._hot or not abs(s) <= self._s_safe:
+            self._hot = True
+            with np.errstate(over="ignore"):
+                lam = self._advance(self._lam, s)
+        else:
+            lam = self._advance(self._lam, s)
+        self._lam = lam
         self.time += 1
         return lam
 
@@ -284,17 +313,17 @@ class WlGlr(_LagBank):
     """
 
     def __init__(self, model: ObservationModel, threshold: float, window: int, grid):
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim == 1:
-            points = [float(t) for t in grid]
-        elif grid.ndim == 2:
-            points = [tuple(float(v) for v in row) for row in grid]
-        else:
-            raise ValueError("grid must be a (G,) or (G, d) array of theta points")
-        if not points:
+        grid = np.array(grid, dtype=float)
+        if grid.ndim == 0 or grid.shape[1:] != np.shape(model.theta):
+            raise ValueError(f"grid must be a (G,) or (G, d) array of theta points, d as in the "
+                             f"model's theta; got shape {grid.shape}")
+        if not len(grid):
             raise ValueError("grid must contain at least one theta point")
-        self.grid = points
-        super().__init__(model, threshold, int(window), points)
+        self.grid = grid
+        # theta_hat as a float or a tuple of floats, without a numpy row per step
+        points = grid.tolist()
+        self._points = points if grid.ndim == 1 else [tuple(p) for p in points]
+        super().__init__(model, threshold, int(window), grid)
 
     def step(self, x: float) -> DetectorOutput:
         lam = self._push(x)
@@ -304,7 +333,7 @@ class WlGlr(_LagBank):
         if k_star <= n:
             # lag l sits in row -1 - l; grid points are lexicographically
             # ordered and argmax takes the first
-            theta_hat = self.grid[int(np.argmax(lam[k_star - n - 1, 0]))]
+            theta_hat = self._points[int(np.argmax(lam[k_star - n - 1, 0]))]
         return self._output(statistic, k_star, theta_hat)
 
 

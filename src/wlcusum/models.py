@@ -48,6 +48,25 @@ def _check_lag(lag) -> int:
     return lag
 
 
+def _first_failing(theta, ok):
+    """The first point of theta (one point or a (G,) grid) where ok fails, None
+    if there is none: one point comes back as given, a grid point as a float.
+    NaN fails every ok."""
+    points = np.asarray(theta, dtype=float)
+    if points.ndim == 0:
+        return None if ok(float(points)) else theta
+    fails = ~ok(points)
+    return float(points[fails.argmax()]) if fails.any() else None
+
+
+def _point_or_grid(theta):
+    """theta as a float, or a (G,) grid of them as a float array of its own."""
+    points = np.array(theta, dtype=float)
+    if points.ndim > 1:
+        raise ValueError(f"theta must be a number or a (G,) grid, got shape {points.shape}")
+    return float(points) if points.ndim == 0 else points
+
+
 def _check_times(n, k) -> int:
     """Validate a (time, hypothesized change point) pair; returns the lag."""
     n, k = int(n), int(k)
@@ -191,7 +210,15 @@ class ObservationModel:
     # -- post-change parameter override (GLR grids) -------------------------
 
     def with_theta(self, theta) -> "ObservationModel":
-        """Copy of this model with the post-change drift parameter replaced."""
+        """Copy of this model with the post-change drift parameter replaced.
+
+        theta is one point, or a grid of them: a (G,) array for a scalar
+        parameter, a (G, d) array of rows otherwise. Every point is checked as
+        one point would be. A grid model has an array theta and only answers
+        llr_terms, where lags[:, None] broadcasts to (lags, G) tables, one
+        column per point, equal bit for bit to each point's own. It is frozen
+        but not hashable, and its other methods are undefined.
+        """
         raise NotImplementedError
 
     @property
@@ -240,8 +267,9 @@ class GemModel(ObservationModel):
             raise ValueError(f"mu0 must be > 0, got {self.mu0}")
         if not (self.sigma0_sq > 0):
             raise ValueError(f"sigma0_sq must be > 0, got {self.sigma0_sq}")
-        if not (self.theta > 0):
-            raise ValueError(f"theta must be > 0, got {self.theta}")
+        bad = _first_failing(self.theta, lambda t: t > 0)
+        if bad is not None:
+            raise ValueError(f"theta must be > 0, got {bad}")
 
     def log_pre_density(self, x: float) -> float:
         return _norm_logpdf(_check_real(x), self.mu0, self.sigma0_sq)
@@ -285,7 +313,7 @@ class GemModel(ObservationModel):
         return means, np.full_like(means, self.sigma0_sq)
 
     def with_theta(self, theta):
-        return replace(self, theta=float(theta))
+        return replace(self, theta=_point_or_grid(theta))
 
 
 @dataclass(frozen=True)
@@ -306,8 +334,9 @@ class DecayModel(ObservationModel):
             raise ValueError(f"mu1 must be > 0, got {self.mu1}")
         if not (self.sigma_sq > 0):
             raise ValueError(f"sigma_sq must be > 0, got {self.sigma_sq}")
-        if not (0.0 < self.theta < 0.5):
-            raise ValueError(f"theta must lie in (0, 0.5), got {self.theta}")
+        bad = _first_failing(self.theta, lambda t: (0.0 < t) & (t < 0.5))
+        if bad is not None:
+            raise ValueError(f"theta must lie in (0, 0.5), got {bad}")
 
     def _post_mean(self, lags):
         return self.mu1 * (np.asarray(lags, dtype=float) + 1.0) ** (-self.theta)
@@ -340,7 +369,29 @@ class DecayModel(ObservationModel):
         return means, np.full_like(means, self.sigma_sq)
 
     def with_theta(self, theta):
-        return replace(self, theta=float(theta))
+        return replace(self, theta=_point_or_grid(theta))
+
+
+def _check_wave(theta) -> np.ndarray:
+    """theta, one (theta0, theta1, theta2) triple or a (G, 3) grid of them, as a
+    float array; raises at the first point that is not a wave, as that point
+    alone would."""
+    points = np.asarray(theta, dtype=float)
+    if points.ndim == 2 and points.shape[1] == 3:
+        t0, t1, t2 = points.T
+        bad = ~(t2 > 0) | (t0 < 0) | (t1 < 0)
+        if bad.any():
+            _check_wave(tuple(points[bad.argmax()].tolist()))
+        return points
+    if points.shape != (3,):
+        raise ValueError(f"theta must be a (theta0, theta1, theta2) triple or a (G, 3) grid, "
+                         f"got {theta}")
+    t0, t1, t2 = points.tolist()
+    if not (t2 > 0):
+        raise ValueError(f"theta2 must be > 0, got {t2}")
+    if t0 < 0 or t1 < 0:
+        raise ValueError(f"theta0 and theta1 must be >= 0, got {theta}")
+    return points
 
 
 def wave_multiplier(theta, lag):
@@ -350,15 +401,23 @@ def wave_multiplier(theta, lag):
 
     theta = (theta0, theta1, theta2): log10 amplitude, peak location (days since
     the change), and peak width. Always >= 1, so the post-change mean fraction
-    never drops below the pre-change mean. Vectorized over lag.
+    never drops below the pre-change mean. Vectorized over lag. theta may also
+    be a (G, 3) grid; lag then broadcasts against (G,), so lags[:, None] gives
+    a (lags, G) table.
     """
-    t0, t1, t2 = (float(v) for v in theta)
-    if not (t2 > 0):
-        raise ValueError(f"theta2 must be > 0, got {t2}")
-    if t0 < 0 or t1 < 0:
-        raise ValueError(f"theta0 and theta1 must be >= 0, got {theta}")
+    points = _check_wave(theta)
+    if points.ndim == 1:
+        t0, t1, t2 = points.tolist()
+        amplitude, width = 10.0**t0 / t2, 2.0 * t2**2
+    else:
+        # Python float powers, one per point as for one point alone: numpy's
+        # SIMD power loops round differently from libm on some CPUs
+        rows = points.tolist()
+        amplitude = np.array([10.0**t0 / t2 for t0, _, t2 in rows])
+        width = np.array([2.0 * t2**2 for *_, t2 in rows])
+        t1 = points[:, 1]
     lag = np.asarray(lag, dtype=float)
-    out = 1.0 + 10.0**t0 / t2 * np.exp(-((lag - t1) ** 2) / (2.0 * t2**2))
+    out = 1.0 + amplitude * np.exp(-((lag - t1) ** 2) / width)
     return out if out.ndim else float(out)
 
 
@@ -382,10 +441,11 @@ class BetaWaveModel(ObservationModel):
             raise ValueError(f"a0 must be > 0, got {self.a0}")
         if not (self.b0 > 0):
             raise ValueError(f"b0 must be > 0, got {self.b0}")
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        if len(self.theta) != 3:
-            raise ValueError(f"theta must be a (theta0, theta1, theta2) triple, got {self.theta}")
-        wave_multiplier(self.theta, 0.0)  # validates the triple
+        points = np.asarray(self.theta, dtype=float)
+        # one triple is a tuple of floats; a (G, 3) grid stays an array of its own
+        object.__setattr__(self, "theta",
+                           tuple(points.tolist()) if points.ndim == 1 else points.copy())
+        _check_wave(self.theta)
 
     def _post_shape(self, lags):
         return self.a0 * np.asarray(wave_multiplier(self.theta, lags), dtype=float)
@@ -435,7 +495,7 @@ class BetaWaveModel(ObservationModel):
         return means, variances
 
     def with_theta(self, theta):
-        return replace(self, theta=tuple(float(v) for v in theta))
+        return replace(self, theta=theta)
 
     @property
     def peak_lag(self):

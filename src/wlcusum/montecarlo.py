@@ -128,6 +128,7 @@ def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
     # a statistic is 0 when every hypothesis is negative, so nothing but the
     # bank max can stop a trial when b > 0, and everything does when b <= 0
     floor = threshold if threshold > 0.0 else -math.inf
+    hot = False  # as in _LagBank._push, against the block's largest |s|
     for n in range(1, max_steps + 1):
         j = (n - 1) % _STREAM_BLOCK
         if j == 0:
@@ -139,14 +140,22 @@ def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
             for r, rng in enumerate(rngs):
                 block[:, r] = model.sample_segment(rng, plan.nu, n, k)
             stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
-            unchecked = ~np.isfinite(stats).all(axis=1)
+            finite = np.isfinite(stats)
+            unchecked = ~finite.all(axis=1)
+            s_top = np.abs(stats[finite]).max(initial=0.0)  # only a finite s can overflow
             rows = np.arange(len(live))  # block column of each live trial
         s = stats[j][rows]
         if unchecked[j]:
             # off the support or a genuine infinity: the scalar hook decides, as a step would
             s = np.array([v if math.isfinite(v) else model.sufficient_stat(x)
                           for x, v in zip(block[j][rows], s)])
-        lams = detector._advance(lams, s.reshape(-1, *unit))
+        # the bound falls when a full-history bank grows mid-block, so compare every step
+        if hot or not s_top <= detector._s_safe:
+            hot = True
+            with np.errstate(over="ignore"):
+                lams = detector._advance(lams, s.reshape(-1, *unit))
+        else:
+            lams = detector._advance(lams, s.reshape(-1, *unit))
         top = lams.max()
         if top < floor:
             continue

@@ -1,13 +1,18 @@
-"""The hypothesis bank's storage rules: dead-lag eviction and the SR reduction."""
+"""The hypothesis bank's storage rules: grid tables, dead-lag eviction, the
+overflow guard and the SR reduction."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from wlcusum import detectors
-from wlcusum.detectors import FullCusum, SrStatistic, WlCusum, WlGlr
+from wlcusum.detectors import FullCusum, SrStatistic, WlCusum, WlGlr, theta_grid
 from wlcusum.models import BetaWaveModel, DecayModel, GemModel
 from wlcusum.montecarlo import TrialPlan, run_trials
 
@@ -20,20 +25,134 @@ def _bits(v):
     return np.float64(v).tobytes()
 
 
+# (id, model, grid, windows): the GEM window reaches past theta = 0.4's first
+# dead lag, the Beta wave grid is the monitor-epi one (G = 1000)
+GRID_CASES = [
+    ("gem", GEM, theta_grid((0.0, 0.5), 50), (23, 1000)),
+    ("decay", DecayModel(2.0, 4.0, 0.2), theta_grid((0.0, 0.5), 50), (15, 699, 4095)),
+    ("betawave", COUNTY, theta_grid([(0.1, 5.0), (1.0, 20.0), (0.1, 5.0)], 10), (20, 199)),
+]
+
+
+def _grid_table_mismatches() -> list[str]:
+    """The cases whose bank tables differ from one llr_terms call per grid point."""
+    bad = []
+    for name, model, grid, windows in GRID_CASES:
+        for window in windows:
+            bank = WlGlr(model, 1e9, window, grid)
+            pairs = [model.with_theta(t).llr_terms(np.arange(window + 1)) for t in grid]
+            slopes = np.array([s for s, _ in pairs]).T
+            intercepts = np.array([c for _, c in pairs]).T
+            intercepts[0] += 0.0  # the bank stores GEM's lag-0 intercept -0.0 as +0.0
+            if (slopes.tobytes() != bank._slopes[::-1, 0].tobytes()
+                    or intercepts.tobytes() != bank._intercepts[::-1, 0].tobytes()):
+                bad.append(f"{name} window {window}")
+    return bad
+
+
+def test_grid_tables_equal_the_per_point_loop(monkeypatch):
+    assert _grid_table_mismatches() == []
+    calls, llr_terms = [], BetaWaveModel.llr_terms
+
+    def counted(model, lags):
+        calls.append(lags.shape)
+        return llr_terms(model, lags)
+
+    monkeypatch.setattr(BetaWaveModel, "llr_terms", counted)
+    WlGlr(COUNTY, 1e9, 20, GRID_CASES[2][2])
+    assert calls == [(21, 1)]
+
+
+def test_grid_tables_equal_the_per_point_loop_on_avx2():
+    # numpy's AVX-512 and AVX2 loops for exp and power round differently; the
+    # grid and per-point tables must agree under either
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    code = "import test_lag_bank as t; print(t._grid_table_mismatches())"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "[]"
+
+
+# (model, a valid point, an invalid one); GEM theta <= 0, decay outside (0, 0.5),
+# the Beta wave theta2 <= 0 or theta0 < 0, and NaN where the check rejects it
+BAD_POINTS = [
+    (GEM, 0.2, 0.0), (GEM, 0.2, -0.1), (GEM, 0.2, math.nan),
+    (DecayModel(2.0, 4.0, 0.2), 0.2, 0.5), (DecayModel(2.0, 4.0, 0.2), 0.2, 0.0),
+    (COUNTY, (0.4, 3.0, 0.5), (0.4, 3.0, 0.0)), (COUNTY, (0.4, 3.0, 0.5), (0.4, 3.0, -1.0)),
+    (COUNTY, (0.4, 3.0, 0.5), (-0.1, 3.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("model, good, bad", BAD_POINTS,
+                         ids=[f"{type(m).__name__}-{b}" for m, _, b in BAD_POINTS])
+def test_a_bad_grid_point_is_rejected_as_it_is_alone(model, good, bad):
+    with pytest.raises(ValueError) as alone:
+        model.with_theta(bad)
+    grid = np.array([good, bad, good])
+    with pytest.raises(ValueError) as in_grid:
+        model.with_theta(grid)
+    assert str(in_grid.value) == str(alone.value)
+    with pytest.raises(ValueError) as in_detector:
+        WlGlr(model, 1e9, 5, grid)
+    assert str(in_detector.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("model, grid", [(GEM, theta_grid((0.0, 0.5), 5)),
+                                         (COUNTY, GRID_CASES[2][2])], ids=["gem", "betawave"])
+def test_theta_hat_is_a_float_or_a_tuple_of_floats(model, grid):
+    det = WlGlr(model, 1e9, 5, grid)
+    out = next(o for o in map(det.step, model.sample_segment(np.random.default_rng(3), 1, 1, 20))
+               if o.theta_hat is not None)
+    if grid.ndim == 1:
+        assert type(out.theta_hat) is float and out.theta_hat in grid.tolist()
+    else:
+        assert type(out.theta_hat) is tuple and all(type(v) is float for v in out.theta_hat)
+        assert list(out.theta_hat) in grid.tolist()
+
+
 @pytest.mark.parametrize("make", [lambda: WlCusum(GEM, 8.0, 2000), lambda: FullCusum(GEM, 8.0)],
                          ids=["WlCusum", "FullCusum"])
 def test_post_change_overflow_alarms_instead_of_nan(make):
     # about 920 lags after the change slope * s overflows to +inf at live lags;
-    # such an entry is evicted at the dead lag instead of meeting its -inf intercept
+    # such an entry is evicted at the dead lag instead of meeting its -inf
+    # intercept, and the overflow raises no warning (warnings are errors here)
     xs = GEM.sample_segment(np.random.default_rng(5), 1, 1, 1000)
     det = make()
-    with np.errstate(over="ignore"):
-        outs = [det.step(x) for x in xs]
+    outs = [det.step(x) for x in xs]
     stats = np.array([o.statistic for o in outs])
     assert not np.isnan(stats).any()
     assert np.isinf(stats).any()
     assert all(o.alarm for o in outs if math.isinf(o.statistic))
     assert det.window == (2000 if isinstance(det, WlCusum) else None)
+    assert det._hot
+    det.reset()
+    assert not det._hot
+
+
+@pytest.mark.parametrize("detector, window", [("wl-cusum", 2000), ("full-cusum", None)])
+def test_lockstep_overflow_alarms_without_a_warning(detector, window):
+    # b = inf: only the +inf entries of the post-change overflow can alarm
+    plan = TrialPlan(model=GEM, detector=detector, threshold=math.inf, window=window, nu=1,
+                     num_trials=3, seed=5, max_steps=1000)
+    times, censored = run_trials(plan)
+    det = WlCusum(GEM, math.inf, 2000)
+    for t in range(3):
+        rng = np.random.default_rng([5, t])
+        det.reset()
+        xs = np.concatenate([GEM.sample_segment(rng, 1, 1, 512),
+                             GEM.sample_segment(rng, 1, 513, 488)])  # as trials draw them
+        want = next(n for n, x in enumerate(xs, 1) if det.step(x).alarm)
+        assert want > 900
+        assert (times[t], censored[t]) == (want, False)
+
+
+def test_ordinary_data_stays_below_the_overflow_bound():
+    det = FullCusum(DecayModel(2.0, 4.0, 0.2), 1e9)  # grows its tables five times
+    for x in DecayModel(2.0, 4.0, 0.2).sample_segment(np.random.default_rng(7), 500, 1, 2000):
+        det.step(x)
+    assert not det._hot and det._s_safe > 1e290
 
 
 def test_full_cusum_on_gem_is_window_limited_at_the_dead_lag():
