@@ -7,10 +7,11 @@ order, oldest first (the last entry is the newest hypothesis k = n), and one
 vectorized multiply-add per step updates the whole bank. ``_LagBank`` owns
 that array, its window, the coefficient tables from ``llr_terms``, the step
 counter and the update, which Monte Carlo reuses to advance many trials'
-banks at once. The bank stops at the model's first dead lag, where every
-coefficient column is pinned at slope 0 and intercept -inf: a hypothesis
-that old is -inf for any finite observation and can never win again. Each
-detector is the bank plus a reduction:
+banks at once, a step or a block of steps per call. The bank stops at the
+model's first dead lag, where every coefficient column is pinned at slope 0
+and intercept -inf: a hypothesis that old is -inf for any finite
+observation and can never win again. Each detector is the bank plus a
+reduction:
 
 - ``WlCusum``: the bank windowed to the newest m + 1 hypotheses, reduced by
   the max, so per-step work is capped at O(m);
@@ -32,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .models import ObservationModel
 
@@ -131,6 +133,13 @@ class _LagBank:
     step. The coefficient tables run in the same order, lag cap - 1 first and
     lag 0 last, so a bank of L entries lines up with their last L rows.
 
+    A lockstep batch whose bank has no grid and a fixed cap can also advance
+    through a block of already drawn steps in one ``_scan``: a fixed number
+    of numpy calls per block instead of a few per step, and the same bits.
+    Its lag-major block costs cap * (cap + B) entries for B steps, against
+    cap * B for B single steps, so Monte Carlo takes it only for small caps
+    (see ``montecarlo``); with a grid axis it measured slower than stepping.
+
     With window=None the bank keeps every hypothesis since the last reset and
     doubles its coefficient tables as the history outgrows them; otherwise
     hypotheses older than the window are evicted, so L <= window + 1. Either
@@ -216,6 +225,49 @@ class _LagBank:
         z += self._intercepts[rows:]
         z[:-1] += lam
         return z
+
+    def _scan(self, lam: np.ndarray, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance an (L, T) bank through the (R, T) finite statistics of R steps at once.
+
+        For a bank with no grid and a fixed cap. Returns the bank's max over
+        its lags after each step, (R, T), and the bank after the last step,
+        cut to its newest cap - 1 entries: the oldest is evicted by the next
+        step anyway. Every entry gets the operations ``_advance`` gives it,
+        in the same order, so both agree bit for bit.
+
+        The block is one lag-major X of shape (cap, H, T), with H = Lc + R
+        hypotheses: the Lc carried ones, then one per step. X[l, i] =
+        slope(l) * s + intercept(l), where s is the statistic hypothesis i
+        meets at lag l, read from a Hankel view of the zero-padded block.
+        Carried entry i is written at its own lag, and the rows below it are
+        never added in. Then cap - 1 row adds X[l] += X[l - 1] make each
+        hypothesis its running sum, as the per-step += does. Step j reads the
+        anti-diagonal X[l, Lc + j - l]; in a trial's first steps the lags
+        past its first hypothesis are left out of the max.
+        """
+        cap = self._cap
+        steps, trials = stats.shape
+        carried = min(len(lam), cap - 1)
+        h = carried + steps
+        padded = np.zeros((cap - 1 + h, trials))
+        padded[carried:h] = stats
+        item = padded.itemsize
+        hankel = as_strided(padded, (cap, h, trials), (trials * item, trials * item, item),
+                            writeable=False)
+        x = self._slopes[::-1, :, None] * hankel  # lag 0 first
+        x += self._intercepts[::-1, :, None]
+        diagonal = np.arange(carried)
+        x[carried - 1 - diagonal, diagonal] = lam[len(lam) - carried :]
+        for l in range(1, cap):
+            first = max(0, carried - l)  # carried column i is added from lag carried - i on
+            x[l, first:] += x[l - 1, first:]
+        # view[l, j] = X[l, carried + j - l]: lag l of the bank after step j
+        view = as_strided(x.ravel()[carried * trials :], (cap, steps, trials),
+                          ((h - 1) * trials * item, trials * item, item), writeable=False)
+        maxima = view.max(axis=0)
+        for j in range(min(steps, cap - 1 - carried)):  # fewer than cap hypotheses yet
+            maxima[j] = view[: carried + j + 1, j].max(axis=0)
+        return maxima, view[: min(cap - 1, h), steps - 1][::-1].copy()
 
     def _push(self, x: float) -> np.ndarray:
         """Advance this bank by one observation; returns the (L, 1[, G]) bank."""

@@ -30,7 +30,9 @@ __all__ = [
     "lemma1_diagnostics",
 ]
 
-_SATURATION_CAP = 50_000_000  # hard stop for inverse extension
+# hard stop for inverse extension: far past any usable window, and past the
+# 100k-step horizon that the largest default step cap reads
+_SATURATION_CAP = 2**22
 
 
 class GrowthCurve:
@@ -98,7 +100,7 @@ class GrowthCurve:
         while self._cum[-1] <= x:
             have = len(self._cum) - 1
             if self._last_gain > abs(x) * 1e-15:
-                if have >= _SATURATION_CAP:
+                if max(64, 2 * have) > _SATURATION_CAP:
                     raise ValueError(
                         f"growth_inverse({x!r}): curve saturated near {float(self._cum[-1])!r} "
                         "without reaching the target"

@@ -1,15 +1,24 @@
 """Monte-Carlo evaluation: false-alarm and delay estimation for detectors.
 
-The trials of a chunk run in lockstep: every step updates one
-(lags, trials[, grid]) bank of all live trials at once, through the same
-``_advance`` that a detector's own step applies to its (lags, 1[, grid])
-bank. An alarmed trial leaves the batch, and the ones still live at the step
-cap are censored there. Worker processes only split the trial range into
-chunks. Trial i draws its observations from a dedicated RNG substream keyed
-by (master seed, i), in 512-step blocks, exactly as it would running alone,
-and each trial's column of the bank gets exactly the operations of a
-detector's own step. Results are therefore bit-for-bit reproducible for any
-worker count, chunk or batch size, and reduced in trial-index order.
+The trials of a chunk run in lockstep on one (lags, trials[, grid]) bank of
+all live trials, laid out as a detector's own (lags, 1[, grid]) bank. A
+window-limited bank with no grid and at most _SCAN_CAP lags (a full-history
+one too, once its cap stops at a dead lag that small) advances through up to
+B = _SCAN_STEPS already drawn steps per ``_LagBank._scan`` call, with no
+Python loop per step; on GEM with m = 23 that runs about 3x the trials per
+second of one step per call. Every other bank takes ``_advance``, the update
+a detector's own step applies, once per step: a block with a grid axis was
+0.29-0.65x as fast on the oc-glr-gem plans (G = 50, trials of about 22
+steps), and a block's cap * (cap + B) work gained nothing at m = 200 and
+lost at m = 255. Both advances share one block loop for draws, support
+checks, NaN naming, alarms and censoring. An alarmed trial leaves the batch
+at the end of the advance, and the ones still live at the step cap are
+censored there. Worker processes only split the trial range into chunks.
+Trial i draws its observations from a dedicated RNG substream keyed by
+(master seed, i), in 512-step blocks, exactly as it would running alone, and
+each trial's column of the bank gets exactly the operations of a detector's
+own step. Results are therefore bit-for-bit reproducible for any worker
+count, chunk, batch or block size, and reduced in trial-index order.
 """
 
 from __future__ import annotations
@@ -46,6 +55,12 @@ _STREAM_BLOCK = 512
 # step cost more in page faults than batching saves.
 _BATCH_TRIALS = 1024
 _BATCH_ENTRIES = 2**15
+# A scan advances up to B = _SCAN_STEPS steps per call, on banks of at most
+# _SCAN_CAP lags (its block then does at most 1.5x the arithmetic of B single
+# steps), and its (cap, cap + B, T) block holds at most _SCAN_ENTRIES entries.
+_SCAN_STEPS = 256
+_SCAN_CAP = 128
+_SCAN_ENTRIES = 2**21
 _MAX_DEFAULT_STEPS = 10_000_000
 
 _DETECTOR_KINDS = ("wl-cusum", "full-cusum", "wl-glr")
@@ -108,14 +123,33 @@ def _build_detector(plan: TrialPlan):
     return WlGlr(plan.model, plan.threshold, plan.window, plan.grid)
 
 
+def _scans(detector, trials: int) -> bool:
+    """Whether a batch of this many trials advances by ``_LagBank._scan``.
+
+    Only a bank with no grid and a fixed cap of at most _SCAN_CAP lags, and
+    only while one sub-block fits _SCAN_ENTRIES. A full-history bank joins
+    once its cap stops at a dead lag that small.
+    """
+    cap = detector._cap
+    return (not detector._shape and not detector._grows and cap <= _SCAN_CAP
+            and cap * (cap + _SCAN_STEPS) * trials <= _SCAN_ENTRIES)
+
+
 def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
-    """Trials start .. stop - 1 stepped together: one bank update per step for all live ones.
+    """Trials start .. stop - 1 run together, a sub-block or a step at a time.
 
     Column r of the (L, T[, G]) bank and entry r of the RNG list belong to
-    trial live[r]. A trial leaves the batch when it alarms; the ones still
-    live at max_steps are censored there. Blocks are drawn only at block
-    boundaries and only for live trials, exactly as one trial running alone
-    draws them, so every trial sees the observations it would see alone.
+    trial live[r]. Each advance, a ``_scan`` of up to _SCAN_STEPS steps or one
+    ``_advance``, gives every live trial's bank max after each of its steps.
+    A trial alarms at its first step with max(0, bank max) >= b and leaves the
+    batch when the advance ends; the ones still live at max_steps are
+    censored there. Blocks are drawn only at block boundaries and only for
+    live trials, exactly as one trial running alone draws them, so every
+    trial sees the observations it would see alone. A sub-block ends before
+    any row with a non-finite statistic, which one step feeds through the
+    model's scalar hook: only a trial that consumes an off-support draw
+    raises SupportError. Grid banks, full-history banks that still grow and
+    caps above _SCAN_CAP take one ``_advance`` per step.
     """
     model, threshold = plan.model, detector.threshold
     times = np.full(stop - start, max_steps, dtype=np.int64)
@@ -125,52 +159,82 @@ def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
     lams = np.empty((0, len(live), *detector._shape))
     unit = (1,) * len(detector._shape)  # one statistic per trial, broadcast over the grid
     lag_and_grid = (0, *range(2, lams.ndim))
-    # a statistic is 0 when every hypothesis is negative, so nothing but the
-    # bank max can stop a trial when b > 0, and everything does when b <= 0
-    floor = threshold if threshold > 0.0 else -math.inf
+    # a statistic is 0 when every hypothesis is negative, so max(0, bank max) >= b
+    # is bank max >= floor: only the bank max can stop a trial when b > 0, and
+    # everything but a NaN does when b <= 0 (a NaN b stops nothing)
+    floor = -math.inf if threshold <= 0.0 else threshold
     hot = False  # as in _LagBank._push, against the block's largest |s|
-    for n in range(1, max_steps + 1):
-        j = (n - 1) % _STREAM_BLOCK
-        if j == 0:
-            k = min(_STREAM_BLOCK, max_steps - n + 1)
-            # (k, T): row j holds step n of every trial live at the boundary;
-            # the old block goes first, so at most one is held at a time
-            block = stats = None
-            block = np.empty((k, len(rngs)))
-            for r, rng in enumerate(rngs):
-                block[:, r] = model.sample_segment(rng, plan.nu, n, k)
-            stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
-            finite = np.isfinite(stats)
-            unchecked = ~finite.all(axis=1)
-            s_top = np.abs(stats[finite]).max(initial=0.0)  # only a finite s can overflow
-            rows = np.arange(len(live))  # block column of each live trial
+
+    def advance(j: int):
+        """Steps j .. e - 1 of the block: (e, the top bank max, each step's bank maxima).
+
+        The maxima are (e - j, T), or None for one step whose top is below the floor.
+        """
+        nonlocal lams
+        if _scans(detector, len(live)) and checked[j]:
+            e = min(j + _SCAN_STEPS, len(checked))
+            if not checked[j:e].all():
+                e = j + int(checked[j:e].argmin())
+            maxima, lams = detector._scan(lams, stats[j:e, rows])
+            return e, maxima.max(), maxima
         s = stats[j][rows]
-        if unchecked[j]:
+        if not checked[j]:
             # off the support or a genuine infinity: the scalar hook decides, as a step would
             s = np.array([v if math.isfinite(v) else model.sufficient_stat(x)
                           for x, v in zip(block[j][rows], s)])
-        # the bound falls when a full-history bank grows mid-block, so compare every step
-        if hot or not s_top <= detector._s_safe:
-            hot = True
-            with np.errstate(over="ignore"):
-                lams = detector._advance(lams, s.reshape(-1, *unit))
-        else:
-            lams = detector._advance(lams, s.reshape(-1, *unit))
+        lams = detector._advance(lams, s.reshape(-1, *unit))
         top = lams.max()
-        if top < floor:
-            continue
-        best = lams.max(axis=lag_and_grid)
-        if math.isnan(top):
-            bad = int(live[np.isnan(best)][0]) + start
-            raise FloatingPointError(f"NaN in the hypothesis bank of trial {bad} at step {n}")
-        alarm = np.maximum(best, 0.0) >= threshold
-        times[live[alarm]] = n
-        censored[live[alarm]] = False
-        stay = ~alarm
-        if not stay.any():
-            break
-        live, lams, rows = live[stay], lams[:, stay], rows[stay]
-        rngs = [rng for rng, kept in zip(rngs, stay) if kept]
+        return j + 1, top, None if top < floor else lams.max(axis=lag_and_grid)[None]
+
+    for n in range(0, max_steps, _STREAM_BLOCK):  # n steps done before the block
+        k = min(_STREAM_BLOCK, max_steps - n)
+        # (k, T): row j holds step n + 1 + j of every trial live at the boundary;
+        # the old block goes first, so at most one is held at a time
+        block = stats = None
+        block = np.empty((k, len(rngs)))
+        for r, rng in enumerate(rngs):
+            block[:, r] = model.sample_segment(rng, plan.nu, n + 1, k)
+        stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
+        finite = np.isfinite(stats)
+        checked = finite.all(axis=1)
+        s_top = np.abs(stats[finite]).max(initial=0.0)  # only a finite s can overflow
+        rows = np.arange(len(live))  # block column of each live trial
+        j = 0
+        while j < k:
+            # the bound falls when a full-history bank grows mid-block, so compare every advance
+            hot = hot or not s_top <= detector._s_safe
+            if hot:
+                # invalid too: a trial that alarmed in a scan steps on to the block's end,
+                # where inf - inf may meet; a live trial's NaN still raises below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    e, top, maxima = advance(j)
+            else:
+                e, top, maxima = advance(j)
+            j, before = e, n + j  # steps done before the advance
+            if top < floor:  # a NaN top goes on
+                continue
+            raised = maxima >= floor
+            # one step's row is its alarm row; a scan's trial alarms at its first raised row
+            alarm = raised.any(axis=0) if len(raised) > 1 else raised[0]
+            if math.isnan(top):
+                # a NaN counts up to the trial's alarm: past it the trial is gone
+                first = raised.argmax(axis=0)
+                nan = np.isnan(maxima) & (~alarm | (np.arange(len(maxima))[:, None] < first))
+                if nan.any():
+                    r = int(nan.any(axis=1).argmax())
+                    bad = int(live[nan[r]][0]) + start
+                    raise FloatingPointError(
+                        f"NaN in the hypothesis bank of trial {bad} at step {before + r + 1}")
+            ends = before + 1
+            if len(raised) > 1:
+                ends = ends + raised.argmax(axis=0)[alarm]
+            times[live[alarm]] = ends
+            censored[live[alarm]] = False
+            stay = ~alarm
+            if not stay.any():
+                return times, censored
+            live, lams, rows = live[stay], lams[:, stay], rows[stay]
+            rngs = [rng for rng, kept in zip(rngs, stay) if kept]
     return times, censored
 
 
@@ -178,8 +242,13 @@ def _run_chunk(plan: TrialPlan, start: int, stop: int, max_steps: int):
     times = np.empty(stop - start, dtype=np.int64)
     censored = np.empty(stop - start, dtype=bool)
     detector = _build_detector(plan)  # its coefficient tables serve every batch
-    entries = detector._cap * math.prod(detector._shape)  # per trial; full banks grow on
-    size = max(1, min(_BATCH_TRIALS, _BATCH_ENTRIES // entries))
+    cap = detector._cap
+    if _scans(detector, 1):
+        size = _SCAN_ENTRIES // (cap * (cap + _SCAN_STEPS))
+    else:
+        # entries per trial at the start; full-history banks grow on
+        size = _BATCH_ENTRIES // (cap * math.prod(detector._shape))
+    size = max(1, min(_BATCH_TRIALS, size))
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)
         times[lo - start : hi - start], censored[lo - start : hi - start] = _lockstep(

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wlcusum import growth
 from wlcusum.growth import GrowthCurve, check_growth_condition, lemma1_diagnostics
 from wlcusum.models import BetaWaveModel, DecayModel, GemModel, ObservationModel
 
@@ -139,6 +140,14 @@ def test_inverse_argument_errors():
     flat = GrowthCurve(_Increments(lambda lags: 1.0 / (lags + 1.0) ** 2))
     with pytest.raises(ValueError):
         flat.growth_inverse(2.0)
+
+
+def test_saturating_inverse_stops_at_the_cap():
+    # the refused doubling is never made: the cache ends at the cap, not past it
+    flat = GrowthCurve(_Increments(lambda lags: 1.0 / (lags + 1.0) ** 2))
+    with pytest.raises(ValueError, match="saturated"):
+        flat.growth_inverse(2.0)
+    assert len(flat._cum) - 1 == growth._SATURATION_CAP
 
 
 def test_gem_growth_asymptotic_ratio():

@@ -148,6 +148,46 @@ def test_lockstep_overflow_alarms_without_a_warning(detector, window):
         assert (times[t], censored[t]) == (want, False)
 
 
+def test_lockstep_scan_overflow_alarms_without_a_warning():
+    # GEM theta = 0.4 does not overflow inside a window of 23; at theta = 2 the
+    # post-change draws near lag 340 overflow slope * s there, before the
+    # draws themselves overflow past lag 354, and the window-23 bank is scanned
+    model = GemModel(0.1, 1e4, 2.0)
+    plan = TrialPlan(model=model, detector="wl-cusum", threshold=math.inf, window=23, nu=1,
+                     num_trials=3, seed=5, max_steps=355)
+    times, censored = run_trials(plan)
+    det = WlCusum(model, math.inf, 23)
+    for t in range(3):
+        det.reset()
+        xs = model.sample_segment(np.random.default_rng([5, t]), 1, 1, 355)
+        want = next(n for n, x in enumerate(xs, 1) if det.step(x).alarm)
+        assert want > 256  # past the first sub-block
+        assert (times[t], censored[t]) == (want, False)
+        assert det._hot
+
+
+@pytest.mark.parametrize("model", [GEM, DecayModel(2.0, 4.0, 0.2)], ids=["gem", "decay"])
+@pytest.mark.parametrize("window", [0, 1, 23])
+def test_scan_is_bitwise_advance(model, window):
+    # every carried length a lockstep bank can hand over, and block lengths
+    # on both sides of the cap
+    rng = np.random.default_rng(29)
+    bank = WlCusum(model, 5.0, window)
+    cap = bank._cap
+    for carried in sorted({0, 1, cap - 1, cap} - {-1}):
+        for steps in sorted({1, max(cap - 1, 1), cap, cap + 1, 40}):
+            lam = rng.normal(0.0, 3.0, (min(carried, cap), 4))
+            xs = model.sample_segment(rng, math.inf, 1, steps * 4).reshape(steps, 4)
+            stats = model.sufficient_stats(xs.ravel()).reshape(xs.shape)
+            maxima, after = bank._scan(lam, stats)
+            want = lam
+            for r in range(steps):
+                want = bank._advance(want, stats[r])
+                assert maxima[r].tobytes() == want.max(axis=0).tobytes()
+            assert after.tobytes() == want[max(len(want) - (cap - 1), 0) :].tobytes()
+            assert after.shape == (min(len(want), cap - 1), 4)
+
+
 def test_ordinary_data_stays_below_the_overflow_bound():
     det = FullCusum(DecayModel(2.0, 4.0, 0.2), 1e9)  # grows its tables five times
     for x in DecayModel(2.0, 4.0, 0.2).sample_segment(np.random.default_rng(7), 500, 1, 2000):

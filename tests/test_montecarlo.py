@@ -2,14 +2,14 @@
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from conftest import ShiftModel
 
-from wlcusum import montecarlo
+from wlcusum import detectors, montecarlo
 from wlcusum.cli import _oc_table, _qq_table, _write_csv
 from wlcusum.calibration import GlrThresholdInputs
 from wlcusum.detectors import WlGlr, run_until_alarm, theta_grid
@@ -154,6 +154,20 @@ class SpikedWave(_Spikes, BetaWaveModel):
     spikes: tuple = ()
 
 
+@dataclass(frozen=True)
+class SpikedWhenPositive(GemModel):
+    """Where a trial's draw at step 40 is positive, steps 40 and 41 draw at40 and at41."""
+
+    at40: float = 0.0
+    at41: float = 0.0
+
+    def sample_segment(self, rng, nu, start, length):
+        out = super().sample_segment(rng, nu, start, length)
+        if start <= 40 and 41 < start + length and out[40 - start] > 0:
+            out[40 - start], out[41 - start] = self.at40, self.at41
+        return out
+
+
 class TestLockstepMatchesStreaming:
     """Lockstep batches give the stopping times of one trial at a time, bit for bit."""
 
@@ -203,6 +217,37 @@ class TestLockstepMatchesStreaming:
         np.testing.assert_array_equal(whole[0], split[0])
         np.testing.assert_array_equal(whole[1], split[1])
 
+    @pytest.mark.parametrize("kw", [
+        dict(nu=math.inf, window=23, threshold=math.log(100)),
+        dict(nu=30, window=23, threshold=math.log(1e3)),
+        dict(nu=math.inf, model=DecayModel(2.0, 4.0, 0.2), window=12, threshold=4.0),
+        dict(nu=30, model=DecayModel(2.0, 4.0, 0.2), window=12, threshold=4.0),
+        # the second block's 88 steps cut a sub-block short, and every trial is censored
+        dict(nu=math.inf, window=23, threshold=8.0, max_steps=600),
+        # a full-history bank joins the scan once its cap stops at GEM's dead lag 119
+        dict(nu=math.inf, model=GemModel(0.1, 1e4, 3.0), detector="full-cusum", window=None,
+             threshold=math.log(100), max_steps=600),
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()
+                               if k in ("detector", "nu", "window", "max_steps")))
+    def test_scan_length_does_not_change_results(self, monkeypatch, kw):
+        plan = _plan(num_trials=12, **kw)
+        want = _streamed(plan)
+        scans, scan = [], detectors._LagBank._scan
+
+        def counted(bank, lam, stats):
+            scans.append(len(stats))
+            return scan(bank, lam, stats)
+
+        monkeypatch.setattr(detectors._LagBank, "_scan", counted)
+        cap = 119 if plan.window is None else plan.window + 1
+        for steps in (1, cap - 1, cap, cap + 1, 512):
+            scans.clear()
+            monkeypatch.setattr(montecarlo, "_SCAN_STEPS", steps)
+            times, censored = run_trials(plan)
+            np.testing.assert_array_equal(times, want[0])
+            np.testing.assert_array_equal(censored, want[1])
+            assert scans and max(scans) <= steps
+
     def test_infinite_statistic_alarms(self):
         # 1e308 overflows the older hypotheses to +inf, which meets even b = inf
         model = SpikedGem(0.1, 1e4, 0.4, spikes=((40, 1e308),))
@@ -225,6 +270,56 @@ class TestLockstepMatchesStreaming:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="trial 0 at step 41"):
                 run_trials(plan)
+
+    # at theta = 1 a spike of 1e308 overflows lags of about 12 and up, so the
+    # window-23 bank that a scan advances holds the +inf and NaN entries
+    def test_infinite_statistic_alarms_in_a_scan(self):
+        model = SpikedGem(0.1, 1e4, 1.0, spikes=((40, 1e308),))
+        plan = _plan(model=model, nu=math.inf, threshold=math.inf, window=23, num_trials=3,
+                     max_steps=2000)
+        with np.errstate(over="ignore"):
+            times, censored = run_trials(plan)
+            want = _streamed(plan)
+        np.testing.assert_array_equal(times, [40, 40, 40])
+        np.testing.assert_array_equal(times, want[0])
+        assert not censored.any()
+
+    def test_nan_in_bank_raises_in_a_scan(self):
+        model = SpikedGem(0.1, 1e4, 1.0, spikes=((40, -1e308), (41, 1e308)))
+        plan = _plan(model=model, nu=math.inf, threshold=math.inf, window=23, num_trials=3,
+                     max_steps=2000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="trial 0 at step 41"):
+                run_trials(plan)
+            with pytest.raises(FloatingPointError, match="at step 41"):
+                _streamed(plan)
+
+    def test_nan_after_an_alarm_in_the_same_sub_block(self):
+        # a trial whose step-40 draw is positive meets 1e308 there (+inf, an
+        # alarm at b = inf) and -1e308 next (NaN); it is gone by then, so only
+        # the trials that step on count, and they never alarm
+        model = SpikedWhenPositive(0.1, 1e4, 1.0, at40=1e308, at41=-1e308)
+        plan = _plan(model=model, nu=math.inf, threshold=math.inf, window=23, num_trials=8,
+                     max_steps=300)
+        times, censored = run_trials(plan)
+        want = _streamed(plan)
+        np.testing.assert_array_equal(times, want[0])
+        np.testing.assert_array_equal(censored, want[1])
+        assert 0 < (times == 40).sum() < len(times)
+
+    def test_support_error_after_an_alarm_in_the_same_sub_block(self):
+        # a trial whose step-40 draw is positive alarms there and meets +inf at
+        # step 41, inside the first sub-block; only a trial that steps on raises
+        model = SpikedWhenPositive(0.1, 1e4, 0.4, at40=1e6, at41=math.inf)
+        plan = _plan(model=model, nu=math.inf, threshold=math.log(100), window=23,
+                     num_trials=8, max_steps=300)
+        times, censored = run_trials(plan)
+        want = _streamed(plan)
+        np.testing.assert_array_equal(times, want[0])
+        np.testing.assert_array_equal(censored, want[1])
+        assert 0 < (times == 40).sum() < len(times)
+        with pytest.raises(SupportError):
+            run_trials(replace(plan, threshold=1e9))
 
     @pytest.mark.parametrize("model", [
         SpikedGem(0.1, 1e4, 0.4, spikes=((300, math.inf),)),
