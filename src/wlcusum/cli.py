@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -582,6 +583,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use and kept for the process.
+
+    Parsing leaves no state on it: no flag appends or has a mutable default.
+    --workers reads os.cpu_count once, when it is built.
+    """
+    return build_parser()
+
+
 def _write_manifest(out_dir: Path, args, written: list, wall_time: float) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
@@ -600,8 +611,7 @@ def _write_manifest(out_dir: Path, args, written: list, wall_time: float) -> Non
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -131,6 +131,7 @@ class ObservationModel:
         raise NotImplementedError
 
     def sample_post_lags(self, rng: np.random.Generator, lags: np.ndarray):
+        """One post-change draw per lag of a 1-D array, in order."""
         raise NotImplementedError
 
     def sample_segment(self, rng: np.random.Generator, nu, start: int, length: int):
@@ -139,16 +140,16 @@ class ObservationModel:
         nu may be math.inf for a pure pre-change stream. Times are 1-based;
         the observation at time n is post-change iff n >= nu, at lag n - nu.
         """
-        times = np.arange(start, start + length)
         if math.isinf(nu):
             return np.asarray(self.sample_pre(rng, size=length), dtype=float)
         nu = int(nu)
-        n_pre = int(np.count_nonzero(times < nu))
+        n_pre = min(max(nu - start, 0), length)  # the times before nu
         out = np.empty(length)
         if n_pre:
             out[:n_pre] = self.sample_pre(rng, size=n_pre)
         if n_pre < length:
-            out[n_pre:] = self.sample_post_lags(rng, times[n_pre:] - nu)
+            lags = np.arange(start + n_pre, start + length) - nu
+            out[n_pre:] = self.sample_post_lags(rng, lags)
         return out
 
     # -- moments -----------------------------------------------------------
@@ -271,6 +272,10 @@ class GemModel(ObservationModel):
         if bad is not None:
             raise ValueError(f"theta must be > 0, got {bad}")
 
+    def _post_mean(self, lags):
+        with np.errstate(over="ignore"):  # +inf once e^{theta l} overflows
+            return self.mu0 * np.exp(self.theta * np.asarray(lags, dtype=float))
+
     def log_pre_density(self, x: float) -> float:
         return _norm_logpdf(_check_real(x), self.mu0, self.sigma0_sq)
 
@@ -304,12 +309,20 @@ class GemModel(ObservationModel):
         return rng.normal(self.mu0, math.sqrt(self.sigma0_sq), size)
 
     def sample_post_lags(self, rng, lags):
-        means = self.mu0 * np.exp(self.theta * np.asarray(lags, dtype=float))
-        return rng.normal(means, math.sqrt(self.sigma0_sq))
+        """N(mu0 e^{theta l}, sigma0_sq) draws, bit for bit rng.normal(means, sd).
+
+        rng.normal with an array loc takes numpy's broadcast path, which costs
+        more than the draws. It computes loc + scale * z per element from one
+        standard normal each, in order, so this gives the same values and
+        leaves rng in the same state. Where e^{theta l} overflows (lag 1,775
+        at theta = 0.4) the mean and its draw are +inf: a detector that
+        consumes that draw raises SupportError.
+        """
+        means = self._post_mean(lags)
+        return means + math.sqrt(self.sigma0_sq) * rng.standard_normal(len(means))
 
     def stat_moments(self, lags):
-        with np.errstate(over="ignore"):
-            means = self.mu0 * np.exp(self.theta * np.asarray(lags, dtype=float))
+        means = self._post_mean(lags)
         return means, np.full_like(means, self.sigma0_sq)
 
     def with_theta(self, theta):
@@ -362,7 +375,10 @@ class DecayModel(ObservationModel):
         return rng.normal(0.0, math.sqrt(self.sigma_sq), size)
 
     def sample_post_lags(self, rng, lags):
-        return rng.normal(self._post_mean(lags), math.sqrt(self.sigma_sq))
+        """N(mu1 (l + 1)^{-theta}, sigma_sq) draws, bit for bit rng.normal(means, sd)
+        as in GemModel.sample_post_lags."""
+        means = self._post_mean(lags)
+        return means + math.sqrt(self.sigma_sq) * rng.standard_normal(len(means))
 
     def stat_moments(self, lags):
         means = self._post_mean(lags)

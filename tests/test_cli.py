@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from wlcusum import cli
 from wlcusum.cli import main
 from wlcusum.models import wave_multiplier
 
@@ -139,6 +140,62 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert "error:" in err and "sigma0-sq" in err
+
+
+@pytest.fixture
+def fresh_parser():
+    """main's cached parser cleared before and after, so a patched build stays in the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_parser")
+class TestParserReuse:
+    def test_one_build_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        builds, build = [], cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        code, _, _ = _run(capsys, ["calibrate", *GEM, "--alpha", "1e-3",
+                                   "--out", str(tmp_path / "out")])
+        assert code == 0
+        code, _, err = _run(capsys, ["estimate-mtfa", *GEM, "--alpha", "1e-5", "--window", "25",
+                                     "--trials", "5", "--seed", "1",
+                                     "--out", str(tmp_path / "mtfa")])
+        assert code == 1 and "--force" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-oc", *GEM, "--alphas", "1e-2", "--nu", "1"])
+        assert exc.value.code == 2
+        assert len(builds) == 1
+
+    def test_a_usage_error_leaves_no_state(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["calibrate", *GEM, "--alpha", "1e-3", "--theta-box", "0:0.5",
+                "--epsilon", "5.5", "--out", str(out)]
+        assert main(argv) == 0  # on a fresh parser
+        want = capsys.readouterr().out, json.loads((out / "run_manifest.json").read_text())
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", *GEM, "--alpha", "1e-3", "--theta-box", "5:0.1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        (out / "run_manifest.json").unlink()
+        assert main(argv) == 0  # on the parser that just refused a box
+        got = capsys.readouterr().out, json.loads((out / "run_manifest.json").read_text())
+        assert got[0] == want[0]
+        assert got[1]["config"] == want[1]["config"]
+
+    def test_workers_default_reads_the_core_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        out = tmp_path / "out"
+        code, _, err = _run(capsys, ["estimate-mtfa", *GEM, "--alpha", "1e-2", "--window", "25",
+                                     "--trials", "2", "--seed", "1", "--out", str(out)])
+        assert code == 0, err
+        assert json.loads((out / "run_manifest.json").read_text())["config"]["workers"] == 2
 
 
 class TestEstimateMtfa:

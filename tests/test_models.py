@@ -277,6 +277,24 @@ def test_sample_segment_pre_post_boundary():
     np.testing.assert_allclose(seg[2:], np.exp([0.0, 1.0, 2.0]), atol=1e-4)
 
 
+@pytest.mark.parametrize("model, sd, n_finite", [
+    (GemModel(0.1, 1e4, 0.4), 100.0, 1775),  # e^{0.4 l} overflows from lag 1,775 on
+    (DecayModel(2.0, 4.0, 0.2), 2.0, 2048),
+], ids=["gem", "decay"])
+def test_post_draws_are_rng_normal_bit_for_bit(model, sd, n_finite):
+    """sample_post_lags gives the bytes of rng.normal(means, sd), +inf included,
+    and leaves the generator in the same state."""
+    lags = np.arange(2048)
+    means, _ = model.stat_moments(lags)
+    for seed in range(50):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = model.sample_post_lags(got_rng, lags)
+        want = want_rng.normal(means, sd)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert np.isfinite(got[:n_finite]).all() and np.isposinf(got[n_finite:]).all()
+
+
 def test_beta_sufficient_stat_rejects_off_support():
     model = BetaWaveModel(20.6, 2.94e5, COUNTY_THETA)
     for bad in (0.0, 1.0, -0.1, 1.5):

@@ -337,6 +337,23 @@ class TestLockstepMatchesStreaming:
             run_trials(late)
 
 
+class TestOverflowingPostChangeDraws:
+    """At theta = 0.4 every draw from lag 1,775 on is +inf; the block of steps
+    1,537-2,048 holds them whether or not a trial gets that far."""
+
+    PLAN = TrialPlan(GEM, "wl-cusum", threshold=1e300, window=23, nu=1, num_trials=4, seed=3,
+                     max_steps=2500)
+
+    def test_unconsumed_draws_raise_no_warning(self):
+        times, censored = run_trials(self.PLAN)
+        np.testing.assert_array_equal(times, [1738] * 4)
+        assert not censored.any()
+
+    def test_a_consumed_draw_raises_support_error(self):
+        with pytest.raises(SupportError):
+            run_trials(replace(self.PLAN, threshold=math.inf))
+
+
 class TestResolvedMaxSteps:
     def test_false_alarm_default_scales_with_threshold(self):
         plan = _plan(threshold=math.log(100), nu=math.inf)
