@@ -163,6 +163,8 @@ class _LagBank:
             raise ValueError(f"window must be >= 0, got {window}")
         self.model = model
         self.threshold = float(threshold)
+        if math.isnan(self.threshold):  # a NaN b never alarms; +-inf are valid
+            raise ValueError(f"threshold must be a number or +-inf, got {threshold}")
         self.window = window
         # answers llr_terms for every column at once
         self._terms = model if grid is None else model.with_theta(grid)
@@ -226,14 +228,17 @@ class _LagBank:
         z[:-1] += lam
         return z
 
-    def _scan(self, lam: np.ndarray, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _scan(self, lam: np.ndarray, stats: np.ndarray,
+              narrow=()) -> tuple[np.ndarray, np.ndarray]:
         """Advance an (L, T) bank through the (R, T) finite statistics of R steps at once.
 
-        For a bank with no grid and a fixed cap. Returns the bank's max over
-        its lags after each step, (R, T), and the bank after the last step,
-        cut to its newest cap - 1 entries: the oldest is evicted by the next
-        step anyway. Every entry gets the operations ``_advance`` gives it,
-        in the same order, so both agree bit for bit.
+        For a bank with no grid and a fixed cap. narrow holds ascending spans
+        below cap. Returns, after each step, the bank's max over its newest
+        lags for each span and then over all its lags, (R, len(narrow) + 1,
+        T), and the bank after the last step, cut to its newest cap - 1
+        entries: the oldest is evicted by the next step anyway. Every entry
+        gets the operations ``_advance`` gives it, in the same order, so both
+        agree bit for bit.
 
         The block is one lag-major X of shape (cap, H, T), with H = Lc + R
         hypotheses: the Lc carried ones, then one per step. X[l, i] =
@@ -242,8 +247,10 @@ class _LagBank:
         Carried entry i is written at its own lag, and the rows below it are
         never added in. Then cap - 1 row adds X[l] += X[l - 1] make each
         hypothesis its running sum, as the per-step += does. Step j reads the
-        anti-diagonal X[l, Lc + j - l]; in a trial's first steps the lags
-        past its first hypothesis are left out of the max.
+        anti-diagonal X[l, Lc + j - l], reduced over all its lags and, for the
+        narrow spans, over the lags between spans and then by a running max.
+        In a trial's first steps the lags past its first hypothesis are left
+        out, and a span wider than the lags held takes the max over them all.
         """
         cap = self._cap
         steps, trials = stats.shape
@@ -267,7 +274,15 @@ class _LagBank:
         maxima = view.max(axis=0)
         for j in range(min(steps, cap - 1 - carried)):  # fewer than cap hypotheses yet
             maxima[j] = view[: carried + j + 1, j].max(axis=0)
-        return maxima, view[: min(cap - 1, h), steps - 1][::-1].copy()
+        bank = view[: min(cap - 1, h), steps - 1][::-1].copy()
+        if not narrow:
+            return maxima[:, None], bank
+        # running maxima over the lags between spans: [0, narrow[0]), [narrow[0], narrow[1]), ...
+        spanned = np.maximum.accumulate(np.maximum.reduceat(view[: narrow[-1]], [0, *narrow[:-1]]))
+        for column, span in zip(spanned, narrow):
+            short = max(0, min(steps, span - 1 - carried))  # steps holding fewer lags than span
+            column[:short] = maxima[:short]
+        return np.concatenate([spanned, maxima[None]]).transpose(1, 0, 2), bank
 
     def _push(self, x: float) -> np.ndarray:
         """Advance this bank by one observation; returns the (L, 1[, G]) bank."""

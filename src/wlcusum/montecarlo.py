@@ -14,6 +14,15 @@ lost at m = 255. Both advances share one block loop for draws, support
 checks, NaN naming, alarms and censoring. An alarmed trial leaves the batch
 at the end of the advance, and the ones still live at the step cap are
 censored there. Worker processes only split the trial range into chunks.
+
+An operating characteristic is one such run for the whole curve. An entry
+lambda_{n,k} depends on neither the window nor the threshold, so the bank of
+the widest window holds, bit for bit, every narrower window's entries in its
+newest m + 1 lags. Each alpha is an operating point with its own threshold,
+span of lags and step cap; a trial stays in the batch until every point has
+alarmed on it or reached its cap, and a point leaves once no live trial
+waits on it. ``run_trials`` is the one-point case of the same run.
+
 Trial i draws its observations from a dedicated RNG substream keyed by
 (master seed, i), in 512-step blocks, exactly as it would running alone, and
 each trial's column of the bank gets exactly the operations of a detector's
@@ -91,6 +100,8 @@ class TrialPlan:
             raise ValueError(f"detector must be one of {_DETECTOR_KINDS}, got {self.detector!r}")
         if self.detector == "wl-glr" and self.grid is None:
             raise ValueError("wl-glr needs a theta grid")
+        if math.isnan(self.threshold):  # a NaN b never alarms; +-inf are valid
+            raise ValueError(f"threshold must be a number or +-inf, got {self.threshold}")
         if not math.isinf(self.nu):
             if float(self.nu) != int(self.nu) or int(self.nu) < 1:
                 raise ValueError(f"nu must be an integer >= 1 or math.inf, got {self.nu}")
@@ -100,19 +111,25 @@ class TrialPlan:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def resolved_max_steps(self) -> int:
-        if self.max_steps is not None:
-            steps = int(self.max_steps)
-            if steps < 1:
-                raise ValueError(f"max_steps must be >= 1, got {steps}")
-            return steps
-        b = float(self.threshold)
-        if math.isinf(self.nu):
-            budget = 50.0 * math.exp(min(b, 30.0))
-            return int(min(max(budget, 50.0), _MAX_DEFAULT_STEPS))
-        horizon = 0.0
-        if b > 0.0:
-            horizon = GrowthCurve(self.model).growth_inverse(b)
-        return int(self.nu) - 1 + int(min(max(100.0 * horizon, 50.0), _MAX_DEFAULT_STEPS))
+        return _step_cap(self)
+
+
+def _step_cap(plan: TrialPlan, curve: GrowthCurve | None = None) -> int:
+    """plan.resolved_max_steps(), reading g^{-1}(b) off curve, a GrowthCurve of
+    plan.model, when one is given instead of building a new one."""
+    if plan.max_steps is not None:
+        steps = int(plan.max_steps)
+        if steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {steps}")
+        return steps
+    b = float(plan.threshold)
+    if math.isinf(plan.nu):
+        budget = 50.0 * math.exp(min(b, 30.0))
+        return int(min(max(budget, 50.0), _MAX_DEFAULT_STEPS))
+    horizon = 0.0
+    if b > 0.0:
+        horizon = (curve if curve is not None else GrowthCurve(plan.model)).growth_inverse(b)
+    return int(plan.nu) - 1 + int(min(max(100.0 * horizon, 50.0), _MAX_DEFAULT_STEPS))
 
 
 def _build_detector(plan: TrialPlan):
@@ -135,47 +152,84 @@ def _scans(detector, trials: int) -> bool:
             and cap * (cap + _SCAN_STEPS) * trials <= _SCAN_ENTRIES)
 
 
-def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
-    """Trials start .. stop - 1 run together, a sub-block or a step at a time.
+def _lockstep(detector, plans: list[TrialPlan], start: int, stop: int, caps: list[int]):
+    """Trials start .. stop - 1 run together for every plan, a sub-block or a step at a time.
 
-    Column r of the (L, T[, G]) bank and entry r of the RNG list belong to
-    trial live[r]. Each advance, a ``_scan`` of up to _SCAN_STEPS steps or one
-    ``_advance``, gives every live trial's bank max after each of its steps.
-    A trial alarms at its first step with max(0, bank max) >= b and leaves the
-    batch when the advance ends; the ones still live at max_steps are
-    censored there. Blocks are drawn only at block boundaries and only for
-    live trials, exactly as one trial running alone draws them, so every
-    trial sees the observations it would see alone. A sub-block ends before
-    any row with a non-finite statistic, which one step feeds through the
-    model's scalar hook: only a trial that consumes an off-support draw
-    raises SupportError. Grid banks, full-history banks that still grow and
-    caps above _SCAN_CAP take one ``_advance`` per step.
+    The plans are operating points: they differ only in threshold, window and
+    step cap (caps), and detector is built from the widest window. Column r
+    of the (L, T[, G]) bank and entry r of the RNG list belong to trial
+    live[r]. Each advance, a ``_scan`` of up to _SCAN_STEPS steps or one
+    ``_advance``, gives every live trial's max after each of its steps over
+    each point's newest min(window + 1, cap) lags, which hold bit for bit
+    that point's own bank. A trial alarms for a point at its first step, up
+    to the point's cap, with max(0, that max) >= b; a point still waiting at
+    its cap is censored there. A trial leaves the batch when the advance
+    ends in which its last point alarmed or reached its cap, and a point
+    leaves when no live trial waits on it, so a strict point's long trials
+    pay for no finished point's reductions. Blocks are drawn only at block
+    boundaries and only for live trials, exactly as one trial running alone
+    draws them, so every trial sees the observations it would see alone. A
+    sub-block ends before any row with a non-finite statistic, which one step
+    feeds through the model's scalar hook: only a trial that consumes an
+    off-support draw, at a step some point still needs, raises SupportError.
+    Grid banks, full-history banks that still grow and caps above _SCAN_CAP
+    take one ``_advance`` per step.
     """
-    model, threshold = plan.model, detector.threshold
-    times = np.full(stop - start, max_steps, dtype=np.int64)
-    censored = np.ones(stop - start, dtype=bool)
+    model, cap = plans[0].model, detector._cap
+    # a statistic is 0 when every hypothesis is negative, so max(0, max) >= b is
+    # max >= floor: only the max can stop a trial when b > 0, and all but a NaN does when b <= 0
+    floors = [-math.inf if p.threshold <= 0.0 else float(p.threshold) for p in plans]
+    spans = [cap if p.window is None else min(p.window + 1, cap) for p in plans]
+    max_steps = max(caps)
+    times = np.empty((len(plans), stop - start), dtype=np.int64)
+    times[:] = np.array(caps)[:, None]
+    censored = np.ones(times.shape, dtype=bool)
+    ids = np.arange(len(plans))  # the points some live trial waits on
+    # (point of ids, live trial): neither alarmed nor at its cap; None while one
+    # point is left, as then every live trial waits on it
+    pending = None if len(plans) == 1 else censored.copy()
+
+    def waited_on():
+        """What the loop reads of the points in ids.
+
+        The floor below which none of them alarms, their (P, 1) floors, their
+        caps and the smallest, the spans below cap that they read, the newest
+        lag of each maxima column (those spans, then the whole bank) and each
+        point's column, None when the points are the columns.
+        """
+        points = ids.tolist()
+        own = [spans[i] for i in points]
+        narrow = sorted({s for s in own if s < cap})
+        columns = [*narrow, cap]
+        which = None if own == columns else [columns.index(s) for s in own]
+        waits = [caps[i] for i in points]
+        return (min(floors[i] for i in points), np.array([floors[i] for i in points])[:, None],
+                np.array(waits), min(waits), narrow, np.array(columns) - 1, which)
+
+    floor, point_floors, point_caps, next_cap, narrow, last, which = waited_on()
     live = np.arange(stop - start)
-    rngs = [np.random.default_rng([plan.seed, i]) for i in range(start, stop)]
+    rngs = [np.random.default_rng([plans[0].seed, i]) for i in range(start, stop)]
     lams = np.empty((0, len(live), *detector._shape))
     unit = (1,) * len(detector._shape)  # one statistic per trial, broadcast over the grid
     lag_and_grid = (0, *range(2, lams.ndim))
-    # a statistic is 0 when every hypothesis is negative, so max(0, bank max) >= b
-    # is bank max >= floor: only the bank max can stop a trial when b > 0, and
-    # everything but a NaN does when b <= 0 (a NaN b stops nothing)
-    floor = -math.inf if threshold <= 0.0 else threshold
     hot = False  # as in _LagBank._push, against the block's largest |s|
 
     def advance(j: int):
-        """Steps j .. e - 1 of the block: (e, the top bank max, each step's bank maxima).
+        """Steps j .. e - 1 of the block: (e, the top bank max, each step's maxima).
 
-        The maxima are (e - j, T), or None for one step whose top is below the floor.
+        The maxima are (e - j, len(narrow) + 1, T): over the newest lags of
+        each span in narrow, then over the whole bank. They are None for one
+        step whose top is below the floor.
         """
         nonlocal lams
         if _scans(detector, len(live)) and checked[j]:
             e = min(j + _SCAN_STEPS, len(checked))
             if not checked[j:e].all():
                 e = j + int(checked[j:e].argmin())
-            maxima, lams = detector._scan(lams, stats[j:e, rows])
+            if narrow:
+                maxima, lams = detector._scan(lams, stats[j:e, rows], narrow)
+            else:
+                maxima, lams = detector._scan(lams, stats[j:e, rows])
             return e, maxima.max(), maxima
         s = stats[j][rows]
         if not checked[j]:
@@ -184,7 +238,13 @@ def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
                           for x, v in zip(block[j][rows], s)])
         lams = detector._advance(lams, s.reshape(-1, *unit))
         top = lams.max()
-        return j + 1, top, None if top < floor else lams.max(axis=lag_and_grid)[None]
+        if top < floor:
+            return j + 1, top, None
+        if not narrow:
+            return j + 1, top, lams.max(axis=lag_and_grid)[None, None]
+        # newest[l]: the max over the grid and lags 0 .. l
+        newest = np.maximum.accumulate(lams.reshape(len(lams), len(live), -1).max(axis=2)[::-1])
+        return j + 1, top, newest[np.minimum(last, len(lams) - 1)][None]
 
     for n in range(0, max_steps, _STREAM_BLOCK):  # n steps done before the block
         k = min(_STREAM_BLOCK, max_steps - n)
@@ -193,11 +253,15 @@ def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
         block = stats = None
         block = np.empty((k, len(rngs)))
         for r, rng in enumerate(rngs):
-            block[:, r] = model.sample_segment(rng, plan.nu, n + 1, k)
+            block[:, r] = model.sample_segment(rng, plans[0].nu, n + 1, k)
         stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
         finite = np.isfinite(stats)
-        checked = finite.all(axis=1)
-        s_top = np.abs(stats[finite]).max(initial=0.0)  # only a finite s can overflow
+        if finite.all():  # as a rule: then no masked copy of the block
+            checked = np.ones(k, dtype=bool)
+            s_top = max(stats.max(), -stats.min())
+        else:
+            checked = finite.all(axis=1)
+            s_top = np.abs(stats[finite]).max(initial=0.0)  # only a finite s can overflow
         rows = np.arange(len(live))  # block column of each live trial
         j = 0
         while j < k:
@@ -211,37 +275,72 @@ def _lockstep(detector, plan: TrialPlan, start: int, stop: int, max_steps: int):
             else:
                 e, top, maxima = advance(j)
             j, before = e, n + j  # steps done before the advance
-            if top < floor:  # a NaN top goes on
-                continue
-            raised = maxima >= floor
-            # one step's row is its alarm row; a scan's trial alarms at its first raised row
-            alarm = raised.any(axis=0) if len(raised) > 1 else raised[0]
-            if math.isnan(top):
-                # a NaN counts up to the trial's alarm: past it the trial is gone
-                first = raised.argmax(axis=0)
-                nan = np.isnan(maxima) & (~alarm | (np.arange(len(maxima))[:, None] < first))
-                if nan.any():
-                    r = int(nan.any(axis=1).argmax())
-                    bad = int(live[nan[r]][0]) + start
-                    raise FloatingPointError(
-                        f"NaN in the hypothesis bank of trial {bad} at step {before + r + 1}")
-            ends = before + 1
-            if len(raised) > 1:
-                ends = ends + raised.argmax(axis=0)[alarm]
-            times[live[alarm]] = ends
-            censored[live[alarm]] = False
-            stay = ~alarm
-            if not stay.any():
-                return times, censored
-            live, lams, rows = live[stay], lams[:, stay], rows[stay]
-            rngs = [rng for rng, kept in zip(rngs, stay) if kept]
+            left = False  # whether a trial or a point may have finished
+            if not top < floor:  # a NaN top goes on
+                if which is not None:
+                    maxima = maxima[:, which]  # (rows, points, T)
+                raised, in_cap = maxima >= point_floors, True
+                if next_cap < n + j:  # rows past a point's cap do not count for it
+                    in_cap = np.arange(len(maxima))[:, None, None] < (point_caps - before)[:, None]
+                    raised &= in_cap
+                alarm = raised[0] if len(raised) == 1 else np.logical_or.reduce(raised)
+                if pending is not None:
+                    alarm = alarm & pending
+                if math.isnan(top):
+                    # a NaN counts for a point up to its alarm: past it that point is done
+                    before_alarm = np.arange(len(maxima))[:, None, None] < raised.argmax(axis=0)
+                    nan = np.isnan(maxima) & in_cap & (~alarm | before_alarm)
+                    if pending is not None:
+                        nan &= pending
+                    if nan.any():
+                        r = int(nan.any(axis=(1, 2)).argmax())
+                        bad = int(live[nan[r].any(axis=0)][0]) + start
+                        raise FloatingPointError(
+                            f"NaN in the hypothesis bank of trial {bad} at step {before + r + 1}")
+                point, col = alarm.nonzero()
+                if len(col):
+                    # one step's row is its alarm row; a scan's point alarms at its first raised row
+                    ends = before + 1
+                    if len(raised) > 1:
+                        ends = ends + raised.argmax(axis=0)[point, col]
+                    if pending is not None:
+                        pending ^= alarm  # alarm holds only pending points
+                    if len(ids) < len(plans):
+                        point = ids[point]
+                    hit = live[col]
+                    times[point, hit], censored[point, hit] = ends, False
+                    left = True
+            if n + j >= next_cap:
+                if pending is None:  # the last point's cap: its live trials are censored
+                    return times, censored
+                pending &= (point_caps > n + j)[:, None]
+                left = True
+            if left:
+                stay = ~alarm[0] if pending is None else np.logical_or.reduce(pending)
+                kept = np.count_nonzero(stay)
+                if not kept:
+                    return times, censored
+                if kept < len(stay):
+                    live, lams, rows = live[stay], lams[:, stay], rows[stay]
+                    rngs = [rng for rng, on in zip(rngs, stay) if on]
+                    if pending is not None:
+                        pending = pending[:, stay]
+                if pending is not None:
+                    waits = np.logical_or.reduce(pending, axis=1)
+                    if not waits.all():
+                        ids, pending = ids[waits], pending[waits]
+                        if len(ids) == 1:
+                            pending = None
+                        floor, point_floors, point_caps, next_cap, narrow, last, which = waited_on()
     return times, censored
 
 
-def _run_chunk(plan: TrialPlan, start: int, stop: int, max_steps: int):
-    times = np.empty(stop - start, dtype=np.int64)
-    censored = np.empty(stop - start, dtype=bool)
-    detector = _build_detector(plan)  # its coefficient tables serve every batch
+def _run_chunk(plans: list[TrialPlan], start: int, stop: int, caps: list[int]):
+    times = np.empty((len(plans), stop - start), dtype=np.int64)
+    censored = np.empty((len(plans), stop - start), dtype=bool)
+    # one detector for every point, its coefficient tables for every batch: the
+    # widest window's bank holds each narrower one's entries, bit for bit
+    detector = _build_detector(max(plans, key=lambda p: p.window or 0))
     cap = detector._cap
     if _scans(detector, 1):
         size = _SCAN_ENTRIES // (cap * (cap + _SCAN_STEPS))
@@ -251,35 +350,45 @@ def _run_chunk(plan: TrialPlan, start: int, stop: int, max_steps: int):
     size = max(1, min(_BATCH_TRIALS, size))
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)
-        times[lo - start : hi - start], censored[lo - start : hi - start] = _lockstep(
-            detector, plan, lo, hi, max_steps)
+        times[:, lo - start : hi - start], censored[:, lo - start : hi - start] = _lockstep(
+            detector, plans, lo, hi, caps)
+    return times, censored
+
+
+def _run(plans: list[TrialPlan], curve: GrowthCurve | None = None):
+    """(P, N) stopping times and censoring flags of P plans that differ only in
+    threshold, window and max_steps, from one run of the trials they share.
+
+    Row p equals run_trials(plans[p]) bit for bit. curve, a GrowthCurve of
+    the plans' model, serves every default step cap when given.
+    """
+    for plan in plans:
+        if plan.detector != "full-cusum" and plan.window is None:
+            raise ValueError(
+                f"{plan.detector} needs a window before trials can run; "
+                "window=None is only a placeholder for per-alpha sizing"
+            )
+    caps = [_step_cap(plan, curve) for plan in plans]
+    n, workers = int(plans[0].num_trials), plans[0].workers
+    if workers == 1:
+        return _run_chunk(plans, 0, n, caps)
+    # one chunk per worker: a lockstep batch pays its per-step cost until its
+    # longest trial ends, so fewer, larger batches do less work in total
+    chunk = max(1, math.ceil(n / workers))
+    bounds = [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
+    times = np.empty((len(plans), n), dtype=np.int64)
+    censored = np.empty((len(plans), n), dtype=bool)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_chunk, plans, a, b, caps) for a, b in bounds]
+        for (a, b), fut in zip(bounds, futures):
+            times[:, a:b], censored[:, a:b] = fut.result()
     return times, censored
 
 
 def run_trials(plan: TrialPlan) -> tuple[np.ndarray, np.ndarray]:
     """Stopping times and censoring flags for every trial, in trial order."""
-    if plan.detector != "full-cusum" and plan.window is None:
-        raise ValueError(
-            f"{plan.detector} needs a window before trials can run; "
-            "window=None is only a placeholder for per-alpha sizing"
-        )
-    max_steps = plan.resolved_max_steps()
-    n = int(plan.num_trials)
-    if plan.workers == 1:
-        return _run_chunk(plan, 0, n, max_steps)
-    # one chunk per worker: a lockstep batch pays its per-step cost until its
-    # longest trial ends, so fewer, larger batches do less work in total
-    chunk = max(1, math.ceil(n / plan.workers))
-    bounds = [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
-    times = np.empty(n, dtype=np.int64)
-    censored = np.empty(n, dtype=bool)
-    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-        futures = [pool.submit(_run_chunk, plan, a, b, max_steps) for a, b in bounds]
-        for (a, b), fut in zip(bounds, futures):
-            t, c = fut.result()
-            times[a:b] = t
-            censored[a:b] = c
-    return times, censored
+    times, censored = _run([plan])
+    return times[0], censored[0]
 
 
 @dataclass
@@ -386,25 +495,32 @@ def operating_characteristic(
     alphas, which smooths the curve the way common random numbers do. For
     wl-glr templates, pass glr_inputs (its alpha field is overridden per row);
     wl-cusum rows use b = |ln alpha|. A window fixed in the template is kept;
-    window=None sizes it per alpha from the growth curve.
+    window=None sizes it per alpha from the growth curve. Every alpha is
+    calibrated first and then all of them run as one set of trials on one
+    bank, each row bit for bit the estimate_add of its plan run alone.
     """
     if math.isinf(template.nu):
         raise ValueError("operating characteristics are delay curves; set a finite nu")
     curve = GrowthCurve(template.model)
-    rows = []
+    alphas = [float(alpha) for alpha in alphas]
+    plans = []
     for alpha in alphas:
         if template.detector == "wl-glr":
             if glr_inputs is None:
                 raise ValueError("wl-glr operating characteristic needs glr_inputs")
-            b = replace(glr_inputs, alpha=float(alpha)).solve()
+            b = replace(glr_inputs, alpha=alpha).solve()
         else:
             b = cusum_threshold(alpha)
         m = template.window
         if m is None and template.detector != "full-cusum":
             m = window_size(curve, alpha, safety)
-        plan = replace(template, threshold=b, window=m)
-        rows.append(OcRow(alpha=float(alpha), threshold=b, window=m, delay=estimate_add(plan)))
-    return rows
+        plans.append(replace(template, threshold=b, window=m))
+    if not plans:
+        return []
+    times, censored = _run(plans, curve)
+    return [OcRow(alpha=alpha, threshold=plan.threshold, window=plan.window,
+                  delay=estimate_add(plan, results=results))
+            for alpha, plan, *results in zip(alphas, plans, times, censored)]
 
 
 @dataclass

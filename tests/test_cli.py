@@ -141,6 +141,21 @@ class TestArgumentErrors:
         assert code == 1
         assert "error:" in err and "sigma0-sq" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate-add", *GEM, "--nu", "1", "--window", "5"],
+        ["estimate-mtfa", *GEM, "--window", "5"],
+        ["simulate-qq", *GEM, "--window", "5"],
+        ["monitor-epi", *SYNTHETIC_COUNTY, "--grid-counts", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_nan_threshold_is_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        seed = [] if argv[0] == "monitor-epi" else ["--seed", "1", "--workers", "1"]
+        code, _, err = _run(capsys, [*argv, "--threshold", "nan", *seed, "--out", str(out)])
+        assert code == 1
+        assert "error: threshold must be a number or +-inf, got nan" in err
+        assert list(out.iterdir()) == []
+
+
 
 @pytest.fixture
 def fresh_parser():

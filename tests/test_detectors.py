@@ -403,3 +403,17 @@ class TestRunUntilAlarm:
         assert not rec.censored
         assert rec.time == 3
         np.testing.assert_allclose(rec.statistic, EX2_STAT_N3, rtol=1e-13)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_only_a_nan_threshold_is_refused(threshold):
+    model = GemModel(0.1, 1e4, 0.4)
+    builds = [lambda: WlCusum(model, threshold, 5), lambda: FullCusum(model, threshold),
+              lambda: WlGlr(model, threshold, 5, [0.2, 0.4]),
+              lambda: SrStatistic(model, threshold)]
+    for build in builds:
+        if math.isnan(threshold):
+            with pytest.raises(ValueError, match=r"threshold must be a number or \+-inf, got nan"):
+                build()
+        else:
+            assert build().threshold == threshold

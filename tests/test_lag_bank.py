@@ -188,6 +188,27 @@ def test_scan_is_bitwise_advance(model, window):
             assert after.shape == (min(len(want), cap - 1), 4)
 
 
+
+@pytest.mark.parametrize("model", [GEM, DecayModel(2.0, 4.0, 0.2)], ids=["gem", "decay"])
+def test_scan_spans_are_the_newest_lags_of_advance(model):
+    # narrower windows' maxima over the newest lags, in a trial's first steps too
+    rng = np.random.default_rng(31)
+    bank = WlCusum(model, 5.0, 23)
+    narrow = (1, 6, 12)
+    for carried in (0, 1, 7, 23):
+        for steps in (1, 11, 24, 40):
+            lam = rng.normal(0.0, 3.0, (carried, 4))
+            xs = model.sample_segment(rng, math.inf, 1, steps * 4).reshape(steps, 4)
+            stats = model.sufficient_stats(xs.ravel()).reshape(xs.shape)
+            maxima, after = bank._scan(lam, stats, narrow)
+            assert maxima.shape == (steps, 4, 4)
+            want = lam
+            for r in range(steps):
+                want = bank._advance(want, stats[r])
+                for u, span in enumerate((*narrow, 24)):
+                    assert maxima[r, u].tobytes() == want[-span:].max(axis=0).tobytes()
+            assert after.tobytes() == want[max(len(want) - 23, 0) :].tobytes()
+
 def test_ordinary_data_stays_below_the_overflow_bound():
     det = FullCusum(DecayModel(2.0, 4.0, 0.2), 1e9)  # grows its tables five times
     for x in DecayModel(2.0, 4.0, 0.2).sample_segment(np.random.default_rng(7), 500, 1, 2000):

@@ -168,6 +168,18 @@ class SpikedWhenPositive(GemModel):
         return out
 
 
+@dataclass(frozen=True)
+class SpikedWhenFirstPositive(GemModel):
+    """Where a trial's first draw is positive, it draws 1e7 at step 2 and -1e308,
+    1e308 at steps 40 and 41."""
+
+    def sample_segment(self, rng, nu, start, length):
+        out = super().sample_segment(rng, nu, start, length)
+        if start == 1 and length >= 41 and out[0] > 0:
+            out[1], out[39], out[40] = 1e7, -1e308, 1e308
+        return out
+
+
 class TestLockstepMatchesStreaming:
     """Lockstep batches give the stopping times of one trial at a time, bit for bit."""
 
@@ -386,6 +398,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             _plan(detector="wl-glr")
 
+    def test_nan_threshold(self):
+        with pytest.raises(ValueError, match="threshold must be a number or \\+-inf, got nan"):
+            _plan(threshold=math.nan)
+        assert _plan(threshold=math.inf).threshold == math.inf
+        assert _plan(threshold=-math.inf).threshold == -math.inf
+
 
 class TestEstimateMtfa:
     def test_requires_infinite_nu(self):
@@ -517,6 +535,144 @@ class TestOperatingCharacteristic:
         assert len(got) == 2
         assert float(got[1]["delay_mean"]) == rows[1].delay.mean
         assert int(got[0]["window"]) == rows[0].window
+
+
+GLR_GEM = dict(detector="wl-glr", grid=np.linspace(0.1, 0.5, 5))
+GLR_INPUTS = GlrThresholdInputs(alpha=1e-2, theta_volume=0.4, dim=1, epsilon=5.5)
+
+
+def _assert_each_alone(plans, times, censored):
+    """Row p of a shared run is plans[p]'s streamed reference, bit for bit."""
+    for plan, t, c in zip(plans, times, censored):
+        want = _streamed(plan)
+        np.testing.assert_array_equal(t, want[0])
+        np.testing.assert_array_equal(c, want[1])
+
+
+class TestSharedOperatingPoints:
+    """A curve runs every alpha on one bank and one set of trial streams; each
+    row is still the one its alpha's plan gives run alone."""
+
+    @pytest.mark.parametrize("kw, alphas", [
+        (dict(), (1e-1, 1e-2, 1e-3)),  # windows 22, 23 and 23: scans with two spans
+        (GLR_GEM, (1e-2, 1e-3, 1e-4)),  # the grid path
+        # the bank grows from 64 to GEM's dead lag 119 over 149 pre-change steps
+        (dict(model=GemModel(0.1, 1e4, 3.0), detector="full-cusum", nu=150, num_trials=12),
+         (1e-1, 1e-2, 1e-3)),
+        (dict(model=DecayModel(2.0, 4.0, 0.2)), (1e-1, 1e-2, 1e-3)),
+        (dict(window=25), (1e-1, 1e-2, 1e-3)),
+        # the cap censors 1 of 40 trials at 1e-3 and none at 1e-2 or 1e-1
+        (dict(max_steps=22), (1e-1, 1e-2, 1e-3)),
+        (dict(workers=2, num_trials=20), (1e-1, 1e-2, 1e-3)),
+        (dict(), (1e-3, 1e-1, 1e-2)),
+    ], ids=["wl-cusum", "wl-glr", "full-cusum-dead-lag", "decay", "fixed-window",
+            "max-steps", "workers", "unsorted"])
+    def test_rows_equal_each_alpha_run_alone(self, kw, alphas):
+        template = _plan(**{"window": None, "nu": 1, **kw})
+        inputs = GLR_INPUTS if template.detector == "wl-glr" else None
+        rows = operating_characteristic(template, alphas, glr_inputs=inputs)
+        assert [r.alpha for r in rows] == list(alphas)
+        censored_any = []
+        for row in rows:
+            plan = replace(template, threshold=row.threshold, window=row.window)
+            alone = run_trials(plan)
+            want = _streamed(plan)
+            np.testing.assert_array_equal(alone[0], want[0])
+            np.testing.assert_array_equal(alone[1], want[1])
+            assert row.delay == estimate_add(plan, results=alone)
+            censored_any.append(bool(alone[1].any()))
+        if "max_steps" in kw:
+            assert censored_any == [False, False, True]
+
+    def test_no_alphas_no_rows(self):
+        assert operating_characteristic(_plan(window=None, nu=1), []) == []
+
+    def test_one_detector_for_a_curve(self, monkeypatch):
+        builds = []
+
+        class CountingWlGlr(WlGlr):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(montecarlo, "WlGlr", CountingWlGlr)
+        template = _plan(window=None, nu=1, num_trials=30, **GLR_GEM)
+        rows = operating_characteristic(template, [1e-2, 1e-3, 1e-4], glr_inputs=GLR_INPUTS)
+        assert len(builds) == 1
+        assert builds[0][2] == max(r.window for r in rows)  # the widest window's bank
+
+    @pytest.mark.parametrize("kw", [
+        dict(window=23),  # scans
+        dict(window=23, **GLR_GEM),  # one step at a time
+    ], ids=["scan", "grid"])
+    def test_points_with_their_own_step_caps(self, kw):
+        # caps 30, 45 and 300 fall inside one scan: a trial that would alarm
+        # past a point's cap is censored there for that point alone
+        base = _plan(nu=math.inf, num_trials=12, threshold=math.log(100), **kw)
+        plans = [replace(base, max_steps=300), replace(base, max_steps=30),
+                 replace(base, threshold=math.log(50), window=5, max_steps=45)]
+        times, censored = montecarlo._run(plans)
+        _assert_each_alone(plans, times, censored)
+        assert (censored[1] & ~censored[0]).any()
+
+    def test_support_error_only_where_a_point_needs_the_step(self):
+        # a trial whose step-40 draw is positive alarms there for b = ln 100 and
+        # meets +inf at step 41, which only a point with a later cap needs
+        model = SpikedWhenPositive(0.1, 1e4, 0.4, at40=1e6, at41=math.inf)
+        base = _plan(model=model, nu=math.inf, threshold=math.log(100), window=23,
+                     num_trials=8, max_steps=300)
+        plans = [base, replace(base, threshold=1e9, max_steps=40)]
+        times, censored = montecarlo._run(plans)
+        _assert_each_alone(plans, times, censored)
+        with pytest.raises(SupportError):
+            montecarlo._run([base, replace(base, threshold=1e9, max_steps=41)])
+
+    def test_nan_counts_for_a_point_only_where_it_reads_the_bank(self):
+        # +inf at step 40 alarms the window-23 point where the draw is positive,
+        # and -1e308 next turns those lags (12 and up) to NaN; the window-5
+        # point steps on over the same bank but holds none of them
+        model = SpikedWhenPositive(0.1, 1e4, 1.0, at40=1e308, at41=-1e308)
+        base = _plan(model=model, nu=math.inf, threshold=math.inf, window=23, num_trials=8,
+                     max_steps=300)
+        plans = [base, replace(base, window=5)]
+        times, censored = montecarlo._run(plans)
+        _assert_each_alone(plans, times, censored)
+        assert 0 < (times[0] == 40).sum() < len(times[0])
+
+    def test_nan_counts_only_while_a_point_waits(self):
+        # at theta = 1 the spikes give NaN at step 601 in lags 13 and up, which the
+        # window-23 points hold and the window-5 point does not; the first alarms
+        # at step 1 and the second is censored at step 590, before the NaN
+        model = SpikedGem(0.1, 1e4, 1.0, spikes=((600, -1e308), (601, 1e308)))
+        base = _plan(model=model, nu=math.inf, threshold=math.inf, window=5, num_trials=3,
+                     max_steps=700)
+        plans = [replace(base, threshold=0.0, window=23),
+                 replace(base, threshold=1e9, window=23, max_steps=590), base]
+        with np.errstate(over="ignore", invalid="ignore"):
+            times, censored = montecarlo._run(plans)
+            _assert_each_alone(plans, times, censored)
+
+    def test_nan_counts_only_for_the_trials_a_point_waits_on(self):
+        # window 200 steps one at a time; where the first draw is positive the
+        # b = 50 point alarms at step 2 and its lags 13 and up are NaN at step
+        # 41, which the window-5 point, still waiting there, does not hold
+        model = SpikedWhenFirstPositive(0.1, 1e4, 1.0)
+        base = _plan(model=model, nu=math.inf, threshold=math.inf, window=5, num_trials=6,
+                     max_steps=100)
+        plans = [replace(base, threshold=50.0, window=200), base]
+        with np.errstate(over="ignore", invalid="ignore"):
+            times, censored = montecarlo._run(plans)
+            _assert_each_alone(plans, times, censored)
+        assert 0 < (times[0] == 2).sum() < len(times[0])
+
+    def test_nan_raises_for_a_point_that_still_needs_the_step(self):
+        # b = 0 alarms every trial at step 1; the b = inf point meets NaN at step 41
+        model = SpikedGem(0.1, 1e4, 1.0, spikes=((40, -1e308), (41, 1e308)))
+        base = _plan(model=model, nu=math.inf, threshold=math.inf, window=23, num_trials=3,
+                     max_steps=2000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="trial 0 at step 41"):
+                montecarlo._run([replace(base, threshold=0.0), base])
 
 
 class TestGeometricQq:
