@@ -172,15 +172,11 @@ def _trial_plan(args, model, nu, alpha):
         # a one-row box is a scalar parameter: its grid points must be floats, not 1-tuples
         grid = theta_grid(box[0] if len(box) == 1 else box, _grid_counts(args, len(box)))
     b = _threshold(args, alpha, glr_inputs)
-    window = None
-    if args.detector != "full-cusum":
-        alpha_eff = math.exp(-b) if alpha is None else alpha
-        window = _window(args, model, alpha_eff)
+    # built before the window, so a NaN b is refused before e^-b sizes one
     plan = TrialPlan(
         model=model,
         detector=args.detector,
         threshold=b,
-        window=window,
         grid=grid,
         nu=nu,
         num_trials=args.trials,
@@ -188,6 +184,8 @@ def _trial_plan(args, model, nu, alpha):
         max_steps=args.max_steps,
         workers=args.workers,
     )
+    if args.detector != "full-cusum":
+        plan = replace(plan, window=_window(args, model, math.exp(-b) if alpha is None else alpha))
     return plan, glr_inputs
 
 

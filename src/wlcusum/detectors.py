@@ -10,18 +10,20 @@ counter and the update, which Monte Carlo reuses to advance many trials'
 banks at once, a step or a block of steps per call. The bank stops at the
 model's first dead lag, where every coefficient column is pinned at slope 0
 and intercept -inf: a hypothesis that old is -inf for any finite
-observation and can never win again. Each detector is the bank plus a
-reduction:
+observation and can never win again. ``_LagBank.step`` is every detector's
+step: it advances the bank and reduces it by one argmax over all its
+entries, lags and grid points at once, which gives the max, k* and
+theta_hat. The detectors differ in their banks:
 
-- ``WlCusum``: the bank windowed to the newest m + 1 hypotheses, reduced by
-  the max, so per-step work is capped at O(m);
-- ``FullCusum``: the same bank with no window, the exact reference whose
-  statistic cannot be simplified into a one-number recursion once the
-  post-change family drifts with the lag. It costs O(n) per step, or
-  O(first dead lag) on a model that has one (GEM);
-- ``WlGlr``: a windowed bank with one column per theta grid point, reduced
-  by the max over lags and grid points;
-- ``SrStatistic``: the full bank reduced by log-sum-exp (Shiryaev-Roberts).
+- ``WlCusum``: windowed to the newest m + 1 hypotheses, so per-step work is
+  capped at O(m);
+- ``FullCusum``: no window, the exact reference whose statistic cannot be
+  simplified into a one-number recursion once the post-change family
+  drifts with the lag. It costs O(n) per step, or O(first dead lag) on a
+  model that has one (GEM);
+- ``WlGlr``: windowed, with one column per theta grid point;
+- ``SrStatistic``: the full bank, whose statistic is its log-sum-exp
+  (Shiryaev-Roberts); k* still comes from the argmax.
 
 Detectors remain steppable after an alarm: the alarm flag is reported per
 step, and monitoring code decides whether to stop.
@@ -102,25 +104,6 @@ def logsumexp(a) -> float:
     return float(out)
 
 
-def _bank_argmax(lam: np.ndarray, n: int) -> tuple[float, int]:
-    """Max over an oldest-first (L, 1) bank with smallest-k tie-breaking.
-
-    Returns (statistic, k_star) where statistic = max(0, max lambda). The
-    first maximiser is the oldest hypothesis, so ties go to the smallest k.
-    The empty hypothesis (value 0, index n+1) wins only when every real
-    hypothesis is strictly negative. A NaN (+inf met -inf in some entry) is
-    the first maximiser whenever there is one, and raises
-    FloatingPointError: it is neither an alarm nor "no change".
-    """
-    i = int(lam.argmax())
-    best = float(lam[i, 0])
-    if best < 0.0:
-        return 0.0, n + 1
-    if math.isnan(best):
-        raise FloatingPointError(f"NaN in the hypothesis bank at step {n}")
-    return best, n - len(lam) + 1 + i
-
-
 class _LagBank:
     """LLR sums stored oldest first: of L entries on the first axis, entry i
     is hypothesis k = time - L + 1 + i, and the last is the newest, k = time.
@@ -157,6 +140,8 @@ class _LagBank:
     bank steps with overflow warnings off; below it no update can overflow,
     and the step pays for one comparison instead.
     """
+
+    _points = (None,)  # theta_hat of each bank column: none without a grid
 
     def __init__(self, model: ObservationModel, threshold: float, window: int | None, grid=None):
         if window is not None and window < 0:
@@ -213,8 +198,8 @@ class _LagBank:
         the old bank at lags 1 and up. The last entry, the new hypothesis, is
         Z alone, bit-equal to 0 + Z because the lag-0 intercept is stored as
         +0.0. Evicts past the window or the first dead lag, or grows the
-        shared coefficient tables; the bank's own entries and clock are left
-        alone.
+        shared coefficient tables; a full bank takes the whole tables, with no
+        slicing. The bank's own entries and clock are left alone.
         """
         if len(lam) == self._cap:
             if self._grows:
@@ -222,9 +207,11 @@ class _LagBank:
                 self._load_terms(lam)  # may find the first dead lag at the old cap
             if len(lam) == self._cap:
                 lam = lam[1:]  # evict the oldest hypothesis
-        rows = -1 - len(lam)  # the kept hypotheses' lags, then lag 0
-        z = self._slopes[rows:] * s
-        z += self._intercepts[rows:]
+        slopes, intercepts = self._slopes, self._intercepts
+        if len(lam) + 1 < self._cap:  # not full: the kept hypotheses' lags, then lag 0
+            slopes, intercepts = slopes[-1 - len(lam):], intercepts[-1 - len(lam):]
+        z = slopes * s
+        z += intercepts
         z[:-1] += lam
         return z
 
@@ -284,8 +271,16 @@ class _LagBank:
             column[:short] = maxima[:short]
         return np.concatenate([spanned, maxima[None]]).transpose(1, 0, 2), bank
 
-    def _push(self, x: float) -> np.ndarray:
-        """Advance this bank by one observation; returns the (L, 1[, G]) bank."""
+    def step(self, x: float) -> DetectorOutput:
+        """Advance the bank by one observation and report its max against the threshold.
+
+        One argmax over the whole (L, 1[, G]) bank: its first maximiser in C
+        order is the oldest lag, so ties go to the smallest k, and then the
+        first grid point. The empty hypothesis (value 0, k = n + 1) wins only
+        when every real hypothesis is strictly negative. A NaN (+inf met -inf
+        in some entry) is the first maximiser whenever there is one, and
+        raises FloatingPointError: it is neither an alarm nor "no change".
+        """
         s = self.model.sufficient_stat(x)  # raises off-support, state unchanged
         if self._hot or not abs(s) <= self._s_safe:
             self._hot = True
@@ -294,12 +289,16 @@ class _LagBank:
         else:
             lam = self._advance(self._lam, s)
         self._lam = lam
-        self.time += 1
-        return lam
-
-    def _output(self, statistic: float, k_star: int, theta_hat=None) -> DetectorOutput:
-        """Report this step's reduced statistic against the threshold."""
-        return DetectorOutput(self.time, statistic, statistic >= self.threshold, k_star, theta_hat)
+        self.time = n = self.time + 1
+        i = int(lam.argmax())
+        best = lam.item(i)
+        if best < 0.0:
+            return DetectorOutput(n, 0.0, 0.0 >= self.threshold, n + 1)
+        if math.isnan(best):
+            raise FloatingPointError(f"NaN in the hypothesis bank at step {n}")
+        row, column = divmod(i, len(self._points))
+        return DetectorOutput(n, best, best >= self.threshold, n - len(lam) + 1 + row,
+                              self._points[column])
 
 
 class WlCusum(_LagBank):
@@ -317,8 +316,7 @@ class WlCusum(_LagBank):
         n = self.time
         return [(n - lag, float(v)) for lag, v in enumerate(self._lam[::-1, 0])]
 
-    def step(self, x: float) -> DetectorOutput:
-        return self._output(*_bank_argmax(self._push(x), self.time))
+    step = _LagBank.step
 
 
 class FullCusum(_LagBank):
@@ -334,7 +332,7 @@ class FullCusum(_LagBank):
         super().__init__(model, threshold, None)
 
     hypotheses = WlCusum.hypotheses
-    step = WlCusum.step
+    step = _LagBank.step
 
 
 def theta_grid(bounds, counts) -> np.ndarray:
@@ -392,16 +390,7 @@ class WlGlr(_LagBank):
         self._points = points if grid.ndim == 1 else [tuple(p) for p in points]
         super().__init__(model, threshold, int(window), grid)
 
-    def step(self, x: float) -> DetectorOutput:
-        lam = self._push(x)
-        n = self.time
-        statistic, k_star = _bank_argmax(lam.max(axis=2), n)
-        theta_hat = None
-        if k_star <= n:
-            # lag l sits in row -1 - l; grid points are lexicographically
-            # ordered and argmax takes the first
-            theta_hat = self._points[int(np.argmax(lam[k_star - n - 1, 0]))]
-        return self._output(statistic, k_star, theta_hat)
+    step = _LagBank.step
 
 
 class SrStatistic(_LagBank):
@@ -429,8 +418,10 @@ class SrStatistic(_LagBank):
         return math.exp(min(log_value, 709.0)) if log_value < math.inf else math.inf
 
     def step(self, x: float) -> DetectorOutput:
-        lam = self._push(x)
-        return self._output(self.value, _bank_argmax(lam, self.time)[1])
+        out = _LagBank.step(self, x)  # k_star from the max, as for CuSum
+        out.statistic = self.value
+        out.alarm = out.statistic >= self.threshold
+        return out
 
 
 def run_until_alarm(detector, observations, max_steps: int | None = None) -> StoppingRecord:

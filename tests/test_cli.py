@@ -146,6 +146,10 @@ class TestArgumentErrors:
         ["estimate-mtfa", *GEM, "--window", "5"],
         ["simulate-qq", *GEM, "--window", "5"],
         ["monitor-epi", *SYNTHETIC_COUNTY, "--grid-counts", "2"],
+        # with no --window the window is sized at e^-b: b is refused before that
+        pytest.param(["estimate-add", *GEM, "--nu", "1"], id="estimate-add-sized-window"),
+        pytest.param(["estimate-mtfa", *GEM], id="estimate-mtfa-sized-window"),
+        pytest.param(["simulate-qq", *GEM], id="simulate-qq-sized-window"),
     ], ids=lambda argv: argv[0])
     def test_nan_threshold_is_refused(self, argv, tmp_path, capsys):
         out = tmp_path / "out"

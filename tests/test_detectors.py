@@ -38,6 +38,27 @@ DETECTORS = {
 }
 
 
+class _AbsShift(ShiftModel):
+    """N(0, 1) -> N(|theta|, 1): grid points +-theta share one column of LLR terms."""
+
+    @property
+    def theta(self):
+        return self.delta
+
+    def with_theta(self, theta):
+        grid = _AbsShift(1.0)
+        grid.delta = np.abs(np.asarray(theta, dtype=float))
+        return grid
+
+    def llr_terms(self, lags):
+        zero = np.zeros(np.broadcast_shapes(np.shape(lags), np.shape(self.delta)))
+        return zero + self.delta, zero - 0.5 * self.delta**2
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
 def _direct_stat(model, xs, n, window):
     """The defining max over change hypotheses, recomputed from scratch."""
     lo = max(1, n - window)
@@ -233,7 +254,7 @@ def test_push_batch_is_bitwise_push(kind, model):
     live = list(range(6))
     for j in range(150):
         for r in live:
-            banks[r]._push(xs[r, j])
+            banks[r].step(xs[r, j])
         stack = shared._advance(stack, model.sufficient_stats(xs[live, j]).reshape(-1, *unit))
         for col, r in enumerate(live):
             assert stack[:, col].tobytes() == banks[r]._lam[:, 0].tobytes()
@@ -325,6 +346,39 @@ class TestWlGlr:
         assert out.statistic == 0.0
         assert out.k_star == 2
         assert out.theta_hat is None
+
+    @pytest.mark.parametrize("grid, theta_hat", [([-1.0, 1.0, 0.5], -1.0),
+                                                 ([0.5, 1.0, -1.0], 1.0)])
+    def test_ties_go_to_the_smallest_k_then_the_first_grid_point(self, grid, theta_hat):
+        # +-1 share one column of terms: lambda_{2,1} = lambda_{2,2} = 1.5 in both
+        det = WlGlr(_AbsShift(1.0), threshold=1e9, window=5, grid=np.array(grid))
+        det.step(0.5)
+        out = det.step(2.0)
+        assert det._lam[:, 0, grid.index(1.0)].tolist() == [1.5, 1.5]
+        assert det._lam[..., grid.index(-1.0)].tobytes() == det._lam[..., grid.index(1.0)].tobytes()
+        assert (out.statistic, out.k_star, out.theta_hat) == (1.5, 1, theta_hat)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_a_nan_in_any_column_raises(self, row, column):
+        # the max sits in column 0 at the oldest lag; the NaN may be anywhere
+        det = WlGlr(_AbsShift(1.0), threshold=1e9, window=5, grid=np.array([1.0, 0.5, 2.0]))
+        for x in (3.0, 0.0, 0.0):
+            det.step(x)
+        assert det._lam.argmax() == 0
+        det._lam[row, 0, column] = math.nan
+        with pytest.raises(FloatingPointError, match="at step 4"):
+            det.step(0.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_an_all_negative_bank_reports_no_change(self, threshold):
+        det = WlGlr(_AbsShift(1.0), threshold=threshold, window=2, grid=np.array([0.5, 1.0]))
+        for n in range(1, 6):  # through warm-up and evictions
+            out = det.step(-3.0)
+            assert (det._lam < 0.0).all()
+            assert _bits(out.statistic) == _bits(0.0)
+            assert (out.time, out.k_star, out.theta_hat) == (n, n + 1, None)
+            assert out.alarm == (threshold <= 0.0)
 
     def test_no_hypotheses_api(self):
         glr = WlGlr(

@@ -1,5 +1,5 @@
 """The hypothesis bank's storage rules: grid tables, dead-lag eviction, the
-overflow guard and the SR reduction."""
+overflow guard, the one-argmax step and the SR reduction."""
 
 import math
 import os
@@ -208,6 +208,62 @@ def test_scan_spans_are_the_newest_lags_of_advance(model):
                 for u, span in enumerate((*narrow, 24)):
                     assert maxima[r, u].tobytes() == want[-span:].max(axis=0).tobytes()
             assert after.tobytes() == want[max(len(want) - 23, 0) :].tobytes()
+
+
+def _two_pass_step(bank, lam, n, x):
+    """One step as ``_advance`` and then the two-pass reduction: the max over
+    grid points, the first row holding the max, then that row's first maximising
+    grid point. Returns the new bank and (statistic, k_star, theta_hat, alarm)."""
+    with np.errstate(over="ignore"):
+        lam = bank._advance(lam, bank.model.sufficient_stat(x))
+    rows = lam.max(axis=2) if lam.ndim == 3 else lam
+    i = int(rows.argmax())
+    best = float(rows[i, 0])
+    if best < 0.0:
+        return lam, (0.0, n + 1, None, 0.0 >= bank.threshold)
+    theta_hat = bank._points[int(np.argmax(lam[i, 0]))] if lam.ndim == 3 else None
+    return lam, (best, n - len(lam) + 1 + i, theta_hat, best >= bank.threshold)
+
+
+BETA_WAVE = BetaWaveModel(2.0, 3.0, (0.464, 3.894, 0.445))
+# (id, stream, hot): GEM's pre-change stream runs past a full-history bank's
+# table doublings up to its cut at the dead lag 888; on the post-change stream
+# from seed 5 a bank that reaches that lag steps hot from step 903 and holds
+# +inf entries from step 922 on
+STEP_STREAMS = [
+    ("gem", GEM, lambda: GEM.sample_segment(np.random.default_rng(3), math.inf, 1, 1000), False),
+    ("gem-overflow", GEM, lambda: GEM.sample_segment(np.random.default_rng(5), 1, 1, 1000), True),
+    ("betawave", BETA_WAVE,
+     lambda: BETA_WAVE.sample_segment(np.random.default_rng(9), 150, 1, 300), False),
+]
+# (id, build, whether the bank reaches GEM's dead lag, where the overflow comes)
+STEP_DETECTORS = [
+    ("WlCusum-0", lambda model, b: WlCusum(model, b, 0), False),
+    ("WlCusum-23", lambda model, b: WlCusum(model, b, 23), False),
+    ("WlCusum-2000", lambda model, b: WlCusum(model, b, 2000), True),
+    ("FullCusum", lambda model, b: FullCusum(model, b), True),
+    ("WlGlr-23", lambda model, b: WlGlr(model, b, 23, np.multiply.outer([0.5, 1, 1.5],
+                                                                       model.theta)), False),
+]
+
+
+@pytest.mark.parametrize("make, deep", [c[1:] for c in STEP_DETECTORS],
+                         ids=[c[0] for c in STEP_DETECTORS])
+@pytest.mark.parametrize("model, stream, hot", [c[1:] for c in STEP_STREAMS],
+                         ids=[c[0] for c in STEP_STREAMS])
+def test_step_is_advance_then_the_two_pass_reduction(make, deep, model, stream, hot):
+    # bit for bit through warm-up, the first eviction, table doublings, the
+    # dead-lag cut and the overflow guard's hot path
+    det, ref = make(model, 12.0), make(model, 12.0)
+    lam = ref._lam
+    for n, x in enumerate(stream(), 1):
+        lam, want = _two_pass_step(ref, lam, n, x)
+        out = det.step(x)
+        assert (_bits(out.statistic), out.k_star, out.theta_hat, out.alarm) == (
+            _bits(want[0]), *want[1:])
+        assert out.time == n and det._lam.tobytes() == lam.tobytes()
+    assert det._hot == (hot and deep)
+
 
 def test_ordinary_data_stays_below_the_overflow_bound():
     det = FullCusum(DecayModel(2.0, 4.0, 0.2), 1e9)  # grows its tables five times
