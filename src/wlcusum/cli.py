@@ -313,7 +313,9 @@ def _cmd_simulate_qq(args, out_dir, written):
 def _cmd_estimate_mtfa(args, out_dir, written):
     model = _build_model_from_args(args)
     plan, _ = _trial_plan(args, model, math.inf, args.alpha)
-    alpha_eff = args.alpha if args.alpha is not None else math.exp(-plan.threshold)
+    # --threshold overrides --alpha, so the cost follows b; --alpha alone is kept as given,
+    # since e^-|ln alpha| can differ from it in the last bit
+    alpha_eff = args.alpha if args.threshold is None else math.exp(-plan.threshold)
     if alpha_eff < _MTFA_ALPHA_FLOOR and not args.force:
         raise ValueError(
             f"MTFA estimation at alpha={alpha_eff:.3g} needs on the order of "

@@ -32,6 +32,7 @@ step, and monitoring code decides whether to stop.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,17 +216,16 @@ class _LagBank:
         z[:-1] += lam
         return z
 
-    def _scan(self, lam: np.ndarray, stats: np.ndarray,
-              narrow=()) -> tuple[np.ndarray, np.ndarray]:
+    def _scan(self, lam: np.ndarray, stats: np.ndarray, narrow=()) -> tuple[np.ndarray, np.ndarray]:
         """Advance an (L, T) bank through the (R, T) finite statistics of R steps at once.
 
         For a bank with no grid and a fixed cap. narrow holds ascending spans
-        below cap. Returns, after each step, the bank's max over its newest
-        lags for each span and then over all its lags, (R, len(narrow) + 1,
-        T), and the bank after the last step, cut to its newest cap - 1
-        entries: the oldest is evicted by the next step anyway. Every entry
-        gets the operations ``_advance`` gives it, in the same order, so both
-        agree bit for bit.
+        below cap; with cap last they are the columns. Returns, after each
+        step, the bank's max over its newest span lags for each column, (R,
+        len(narrow) + 1, T), and the bank after the last step, cut to its
+        newest cap - 1 entries: the oldest is evicted by the next step anyway.
+        Every entry gets the operations ``_advance`` gives it, in the same
+        order, so both agree bit for bit.
 
         The block is one lag-major X of shape (cap, H, T), with H = Lc + R
         hypotheses: the Lc carried ones, then one per step. X[l, i] =
@@ -234,10 +234,9 @@ class _LagBank:
         Carried entry i is written at its own lag, and the rows below it are
         never added in. Then cap - 1 row adds X[l] += X[l - 1] make each
         hypothesis its running sum, as the per-step += does. Step j reads the
-        anti-diagonal X[l, Lc + j - l], reduced over all its lags and, for the
-        narrow spans, over the lags between spans and then by a running max.
-        In a trial's first steps the lags past its first hypothesis are left
-        out, and a span wider than the lags held takes the max over them all.
+        anti-diagonal X[l, Lc + j - l], and a column its first span lags. In
+        a trial's first steps the lags past its first hypothesis are left
+        out: every column wider than the lags held takes the max over them all.
         """
         cap = self._cap
         steps, trials = stats.shape
@@ -258,18 +257,15 @@ class _LagBank:
         # view[l, j] = X[l, carried + j - l]: lag l of the bank after step j
         view = as_strided(x.ravel()[carried * trials :], (cap, steps, trials),
                           ((h - 1) * trials * item, trials * item, item), writeable=False)
-        maxima = view.max(axis=0)
+        spans = (*narrow, cap)
+        maxima = np.empty((len(spans), steps, trials))
+        for column, span in zip(maxima, spans):
+            view[:span].max(axis=0, out=column)
         for j in range(min(steps, cap - 1 - carried)):  # fewer than cap hypotheses yet
-            maxima[j] = view[: carried + j + 1, j].max(axis=0)
+            held = carried + j + 1
+            maxima[bisect_right(spans, held) :, j] = view[:held, j].max(axis=0)
         bank = view[: min(cap - 1, h), steps - 1][::-1].copy()
-        if not narrow:
-            return maxima[:, None], bank
-        # running maxima over the lags between spans: [0, narrow[0]), [narrow[0], narrow[1]), ...
-        spanned = np.maximum.accumulate(np.maximum.reduceat(view[: narrow[-1]], [0, *narrow[:-1]]))
-        for column, span in zip(spanned, narrow):
-            short = max(0, min(steps, span - 1 - carried))  # steps holding fewer lags than span
-            column[:short] = maxima[:short]
-        return np.concatenate([spanned, maxima[None]]).transpose(1, 0, 2), bank
+        return maxima.transpose(1, 0, 2), bank
 
     def step(self, x: float) -> DetectorOutput:
         """Advance the bank by one observation and report its max against the threshold.

@@ -18,10 +18,13 @@ censored there. Worker processes only split the trial range into chunks.
 An operating characteristic is one such run for the whole curve. An entry
 lambda_{n,k} depends on neither the window nor the threshold, so the bank of
 the widest window holds, bit for bit, every narrower window's entries in its
-newest m + 1 lags. Each alpha is an operating point with its own threshold,
-span of lags and step cap; a trial stays in the batch until every point has
-alarmed on it or reached its cap, and a point leaves once no live trial
-waits on it. ``run_trials`` is the one-point case of the same run.
+newest m + 1 lags. Each alpha is an operating point, a row of a table built
+once per batch: its threshold, step cap and maxima column. Every advance
+takes one max per column over the column's newest span lags, the whole bank
+last, and each point reads its own column. A trial stays in the batch until
+every point has alarmed on it or reached its cap, and a point leaves once
+no live trial waits on it. ``run_trials`` is the one-point case of the same
+run.
 
 Trial i draws its observations from a dedicated RNG substream keyed by
 (master seed, i), in 512-step blocks, exactly as it would running alone, and
@@ -105,6 +108,8 @@ class TrialPlan:
         if not math.isinf(self.nu):
             if float(self.nu) != int(self.nu) or int(self.nu) < 1:
                 raise ValueError(f"nu must be an integer >= 1 or math.inf, got {self.nu}")
+        if self.detector == "full-cusum" and self.window is not None:
+            raise ValueError(f"full-cusum reads every hypothesis, got window {self.window}")
         if int(self.num_trials) < 1:
             raise ValueError(f"num_trials must be >= 1, got {self.num_trials}")
         if int(self.workers) < 1:
@@ -158,93 +163,76 @@ def _lockstep(detector, plans: list[TrialPlan], start: int, stop: int, caps: lis
     The plans are operating points: they differ only in threshold, window and
     step cap (caps), and detector is built from the widest window. Column r
     of the (L, T[, G]) bank and entry r of the RNG list belong to trial
-    live[r]. Each advance, a ``_scan`` of up to _SCAN_STEPS steps or one
-    ``_advance``, gives every live trial's max after each of its steps over
-    each point's newest min(window + 1, cap) lags, which hold bit for bit
-    that point's own bank. A trial alarms for a point at its first step, up
-    to the point's cap, with max(0, that max) >= b; a point still waiting at
-    its cap is censored there. A trial leaves the batch when the advance
-    ends in which its last point alarmed or reached its cap, and a point
-    leaves when no live trial waits on it, so a strict point's long trials
-    pay for no finished point's reductions. Blocks are drawn only at block
-    boundaries and only for live trials, exactly as one trial running alone
-    draws them, so every trial sees the observations it would see alone. A
-    sub-block ends before any row with a non-finite statistic, which one step
-    feeds through the model's scalar hook: only a trial that consumes an
-    off-support draw, at a step some point still needs, raises SupportError.
-    Grid banks, full-history banks that still grow and caps above _SCAN_CAP
-    take one ``_advance`` per step.
+    live[r]. A point table, built once, holds each point's floor, cap and
+    maxima column: the columns are the points' spans min(window + 1, cap)
+    below cap, ascending, then the whole bank, and a span's newest lags hold
+    bit for bit the bank of its window. Each advance, a ``_scan`` of up to
+    _SCAN_STEPS steps or one ``_advance``, gives every live trial one max per
+    column after each of its steps. A trial alarms for a point at its first
+    step, up to the point's cap, with max(0, that max) >= b; a point still
+    waiting at its cap is censored there. A trial leaves the batch when the
+    advance ends in which its last point alarmed or reached its cap, and a
+    point leaves when no live trial waits on it (ids drops its table row),
+    so a strict point's long trials pay for no finished point's checks.
+    Blocks are drawn only at block boundaries and only for live trials,
+    exactly as one trial running alone draws them, so every trial sees the
+    observations it would see alone. A sub-block ends before any row with a
+    non-finite statistic, which one step feeds through the model's scalar
+    hook: only a trial that consumes an off-support draw, at a step some
+    point still needs, raises SupportError. Grid banks, full-history banks
+    that still grow and caps above _SCAN_CAP take one ``_advance`` per step.
     """
     model, cap = plans[0].model, detector._cap
     # a statistic is 0 when every hypothesis is negative, so max(0, max) >= b is
     # max >= floor: only the max can stop a trial when b > 0, and all but a NaN does when b <= 0
-    floors = [-math.inf if p.threshold <= 0.0 else float(p.threshold) for p in plans]
+    floors = np.array([[-math.inf if p.threshold <= 0.0 else float(p.threshold)] for p in plans])
     spans = [cap if p.window is None else min(p.window + 1, cap) for p in plans]
-    max_steps = max(caps)
+    narrow = sorted({s for s in spans if s < cap})
+    columns = np.array([len(narrow) if s == cap else narrow.index(s) for s in spans])
+    max_steps, caps = max(caps), np.array(caps)
     times = np.empty((len(plans), stop - start), dtype=np.int64)
-    times[:] = np.array(caps)[:, None]
+    times[:] = caps[:, None]
     censored = np.ones(times.shape, dtype=bool)
     ids = np.arange(len(plans))  # the points some live trial waits on
     # (point of ids, live trial): neither alarmed nor at its cap; None while one
     # point is left, as then every live trial waits on it
     pending = None if len(plans) == 1 else censored.copy()
-
-    def waited_on():
-        """What the loop reads of the points in ids.
-
-        The floor below which none of them alarms, their (P, 1) floors, their
-        caps and the smallest, the spans below cap that they read, the newest
-        lag of each maxima column (those spans, then the whole bank) and each
-        point's column, None when the points are the columns.
-        """
-        points = ids.tolist()
-        own = [spans[i] for i in points]
-        narrow = sorted({s for s in own if s < cap})
-        columns = [*narrow, cap]
-        which = None if own == columns else [columns.index(s) for s in own]
-        waits = [caps[i] for i in points]
-        return (min(floors[i] for i in points), np.array([floors[i] for i in points])[:, None],
-                np.array(waits), min(waits), narrow, np.array(columns) - 1, which)
-
-    floor, point_floors, point_caps, next_cap, narrow, last, which = waited_on()
+    # the table rows of ids; which is None while the points are the columns
+    point_floors, point_caps = floors, caps
+    floor, next_cap = point_floors.min(), point_caps.min()
+    which = None if columns.tolist() == [*range(len(narrow) + 1)] else columns
     live = np.arange(stop - start)
     rngs = [np.random.default_rng([plans[0].seed, i]) for i in range(start, stop)]
     lams = np.empty((0, len(live), *detector._shape))
-    unit = (1,) * len(detector._shape)  # one statistic per trial, broadcast over the grid
-    lag_and_grid = (0, *range(2, lams.ndim))
-    hot = False  # as in _LagBank._push, against the block's largest |s|
+    grid = bool(detector._shape)  # then one statistic per trial is broadcast over it
+    hot = False  # as in _LagBank.step, against the block's largest |s|
 
     def advance(j: int):
-        """Steps j .. e - 1 of the block: (e, the top bank max, each step's maxima).
-
-        The maxima are (e - j, len(narrow) + 1, T): over the newest lags of
-        each span in narrow, then over the whole bank. They are None for one
-        step whose top is below the floor.
-        """
+        """Steps j .. e - 1 of the block: (e, the top bank max, each step's (e - j, C, T)
+        maxima, one per column), the maxima None for one step whose top is below the floor."""
         nonlocal lams
         if _scans(detector, len(live)) and checked[j]:
             e = min(j + _SCAN_STEPS, len(checked))
             if not checked[j:e].all():
                 e = j + int(checked[j:e].argmin())
-            if narrow:
-                maxima, lams = detector._scan(lams, stats[j:e, rows], narrow)
-            else:
-                maxima, lams = detector._scan(lams, stats[j:e, rows])
+            maxima, lams = detector._scan(lams, stats[j:e, rows], narrow)
             return e, maxima.max(), maxima
         s = stats[j][rows]
         if not checked[j]:
             # off the support or a genuine infinity: the scalar hook decides, as a step would
             s = np.array([v if math.isfinite(v) else model.sufficient_stat(x)
                           for x, v in zip(block[j][rows], s)])
-        lams = detector._advance(lams, s.reshape(-1, *unit))
+        lams = detector._advance(lams, s[:, None] if grid else s)
         top = lams.max()
         if top < floor:
             return j + 1, top, None
-        if not narrow:
-            return j + 1, top, lams.max(axis=lag_and_grid)[None, None]
-        # newest[l]: the max over the grid and lags 0 .. l
-        newest = np.maximum.accumulate(lams.reshape(len(lams), len(live), -1).max(axis=2)[::-1])
-        return j + 1, top, newest[np.minimum(last, len(lams) - 1)][None]
+        bank = lams.max(axis=2) if grid else lams
+        maxima = np.empty((len(narrow) + 1, len(live)))
+        # the whole bank is the last column: a full-history bank outgrows its first cap
+        bank.max(axis=0, out=maxima[-1])
+        for span, column in zip(narrow, maxima):
+            bank[-span:].max(axis=0, out=column)
+        return j + 1, top, maxima[None]
 
     for n in range(0, max_steps, _STREAM_BLOCK):  # n steps done before the block
         k = min(_STREAM_BLOCK, max_steps - n)
@@ -331,7 +319,8 @@ def _lockstep(detector, plans: list[TrialPlan], start: int, stop: int, caps: lis
                         ids, pending = ids[waits], pending[waits]
                         if len(ids) == 1:
                             pending = None
-                        floor, point_floors, point_caps, next_cap, narrow, last, which = waited_on()
+                        point_floors, point_caps, which = floors[ids], caps[ids], columns[ids]
+                        floor, next_cap = point_floors.min(), point_caps.min()
     return times, censored
 
 

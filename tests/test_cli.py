@@ -227,6 +227,19 @@ class TestEstimateMtfa:
         assert "--force" in err
         assert not any(out.iterdir())  # nothing half-written
 
+    def test_threshold_sets_the_cost_over_alpha(self, tmp_path, capsys):
+        # --threshold overrides --alpha: b = 20 is e^-20 = 2.06e-9 whatever --alpha says
+        argv = ["estimate-mtfa", *GEM, "--alpha", "1e-2", "--window", "25", "--trials", "2",
+                "--seed", "1", "--max-steps", "50"]
+        code, _, err = _run(capsys, [*argv, "--threshold", "20", "--out", str(tmp_path / "a")])
+        assert code == 1
+        assert "alpha=2.06e-09" in err and "--force" in err
+        with pytest.warns(RuntimeWarning, match="false-alarm trials hit the step cap"):
+            code, payload, _ = _run(capsys, [*argv, "--threshold", "3", "--out",
+                                             str(tmp_path / "b")])
+        assert code == 0
+        assert payload["target_lower_bound"] == math.exp(3.0)
+
     def test_forced_small_run(self, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning, match="false-alarm trials hit the step cap"):

@@ -87,6 +87,11 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="placeholder"):
             run_trials(plan)
 
+    def test_full_cusum_refuses_a_window(self):
+        # a lockstep run would read only the newest window + 1 lags of its full-history bank
+        with pytest.raises(ValueError, match="full-cusum reads every hypothesis"):
+            _plan(detector="full-cusum", window=3)
+
     def test_max_steps_validated_at_resolution(self):
         plan = _plan(max_steps=0)
         with pytest.raises(ValueError):
@@ -246,9 +251,9 @@ class TestLockstepMatchesStreaming:
         want = _streamed(plan)
         scans, scan = [], detectors._LagBank._scan
 
-        def counted(bank, lam, stats):
+        def counted(bank, lam, stats, narrow):
             scans.append(len(stats))
-            return scan(bank, lam, stats)
+            return scan(bank, lam, stats, narrow)
 
         monkeypatch.setattr(detectors._LagBank, "_scan", counted)
         cap = 119 if plan.window is None else plan.window + 1
@@ -560,13 +565,15 @@ class TestSharedOperatingPoints:
         (dict(model=GemModel(0.1, 1e4, 3.0), detector="full-cusum", nu=150, num_trials=12),
          (1e-1, 1e-2, 1e-3)),
         (dict(model=DecayModel(2.0, 4.0, 0.2)), (1e-1, 1e-2, 1e-3)),
+        # no dead lag: the bank grows past its first cap of 64 while all three points wait
+        (dict(model=DecayModel(2.0, 4.0, 0.2), detector="full-cusum"), (1e-1, 1e-2, 1e-3)),
         (dict(window=25), (1e-1, 1e-2, 1e-3)),
         # the cap censors 1 of 40 trials at 1e-3 and none at 1e-2 or 1e-1
         (dict(max_steps=22), (1e-1, 1e-2, 1e-3)),
         (dict(workers=2, num_trials=20), (1e-1, 1e-2, 1e-3)),
         (dict(), (1e-3, 1e-1, 1e-2)),
-    ], ids=["wl-cusum", "wl-glr", "full-cusum-dead-lag", "decay", "fixed-window",
-            "max-steps", "workers", "unsorted"])
+    ], ids=["wl-cusum", "wl-glr", "full-cusum-dead-lag", "decay", "full-cusum-decay",
+            "fixed-window", "max-steps", "workers", "unsorted"])
     def test_rows_equal_each_alpha_run_alone(self, kw, alphas):
         template = _plan(**{"window": None, "nu": 1, **kw})
         inputs = GLR_INPUTS if template.detector == "wl-glr" else None
