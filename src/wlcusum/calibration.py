@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .growth import GrowthCurve
 
 __all__ = [
@@ -38,6 +36,66 @@ __all__ = [
 
 class CalibrationError(RuntimeError):
     """No usable threshold exists for the requested configuration."""
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in [a, b] by Brent's method, step for step as ``scipy.optimize.brentq``.
+
+    The loop of scipy's C ``brentq``: keep the root between the current point
+    and the block point, take the interpolated (secant or inverse quadratic)
+    step when it is short enough and bisect otherwise. No step is shorter
+    than delta = (xtol + rtol*|x|)/2, and the loop gives up after scipy's
+    default 100 iterations. It gives the same bits as scipy, which keeps
+    ``scipy.optimize`` off the import path.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets an inf or NaN step here, and so bisects
+                stry = math.nan
+            # C's 2|stry| < MIN(|spre|, 3|sbis| - delta), false when either side is NaN
+            if 2 * abs(stry) < abs(spre) and 2 * abs(stry) < 3 * abs(sbis) - delta:
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise CalibrationError(f"Failed to converge after 100 iterations, value is {xcur}.")
 
 
 def _check_alpha(alpha: float) -> float:
@@ -102,7 +160,7 @@ def glr_threshold(alpha: float, theta_volume: float, dim: int, epsilon: float) -
             hi *= 2.0
             if hi > 1e12:
                 raise CalibrationError("threshold bracket blew up; reduce epsilon")
-        b = float(brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16))
+        b = _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
     if b <= 1.0:
         raise CalibrationError(
             f"threshold {b:.3g} <= 1 is unusable; use a smaller epsilon or alpha"

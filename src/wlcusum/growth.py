@@ -14,7 +14,6 @@ over the piecewise-linear interpolation between the integer knots.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -38,9 +37,9 @@ _SATURATION_CAP = 2**22
 class GrowthCurve:
     """Lazily extended cache of cumulative KL increments for one model.
 
-    Thread-safe: cache extension happens under a lock. Curves are not meant
-    to be pickled; a plan carries the model and resolves growth-derived
-    quantities (window, step cap) before dispatch to worker processes.
+    Curves are not meant to be pickled; a plan carries the model and resolves
+    growth-derived quantities (window, step cap) before dispatch to worker
+    processes.
     """
 
     def __init__(self, model: ObservationModel):
@@ -48,7 +47,6 @@ class GrowthCurve:
         # _cum[j] == g(j); index 0 is the empty sum
         self._cum = np.zeros(1)
         self._last_gain = math.inf  # what the last doubling in growth_inverse added
-        self._lock = threading.Lock()
         self._warned_past_peak = False
         self._peak_lag = model.peak_lag
 
@@ -64,16 +62,15 @@ class GrowthCurve:
             )
 
     def _extend_to(self, n: int):
-        with self._lock:
-            have = len(self._cum) - 1
-            if n <= have:
-                return
-            lags = np.arange(have, n)
-            inc = np.asarray(self._increments(lags), dtype=float)
-            if np.any(inc < 0):
-                raise ValueError("negative KL increment; growth must be nondecreasing")
-            # one running sum from g(0), so no knot depends on where earlier queries stopped
-            self._cum = np.concatenate([self._cum[:-1], np.cumsum(np.r_[self._cum[-1], inc])])
+        have = len(self._cum) - 1
+        if n <= have:
+            return
+        lags = np.arange(have, n)
+        inc = np.asarray(self._increments(lags), dtype=float)
+        if np.any(inc < 0):
+            raise ValueError("negative KL increment; growth must be nondecreasing")
+        # one running sum from g(0), so no knot depends on where earlier queries stopped
+        self._cum = np.concatenate([self._cum[:-1], np.cumsum(np.r_[self._cum[-1], inc])])
 
     def growth(self, n: int) -> float:
         """g(n), the cumulative expected LLR over the first n post-change steps."""

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
-from scipy.special import digamma, gammaln, polygamma
+from scipy.special import betaln, digamma, gammaln, polygamma, xlog1py, xlogy
 
 __all__ = [
     "SupportError",
@@ -437,6 +436,15 @@ def wave_multiplier(theta, lag):
     return out if out.ndim else float(out)
 
 
+def _beta_logpdf(x: float, a: float, b: float) -> float:
+    """Beta(a, b) log density at x in [0, 1], the bits of ``scipy.stats.beta.logpdf``.
+
+    scipy's own formula; calling it directly keeps ``scipy.stats`` off the
+    import path.
+    """
+    return float(xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b))
+
+
 @dataclass(frozen=True)
 class BetaWaveModel(ObservationModel):
     """Beta-distributed fractions with a transient wave after the change.
@@ -471,14 +479,14 @@ class BetaWaveModel(ObservationModel):
         if math.isnan(x) or x < 0.0 or x > 1.0:
             raise SupportError(f"observation must lie in [0, 1], got {x!r}")
         # -inf (or +inf for shape < 1) is acceptable at the boundary
-        return float(stats.beta.logpdf(x, self.a0, self.b0))
+        return _beta_logpdf(x, self.a0, self.b0)
 
     def log_post_density(self, x: float, n: int, k: int) -> float:
         lag = _check_times(n, k)
         x = float(x)
         if math.isnan(x) or x < 0.0 or x > 1.0:
             raise SupportError(f"observation must lie in [0, 1], got {x!r}")
-        return float(stats.beta.logpdf(x, float(self._post_shape(lag)), self.b0))
+        return _beta_logpdf(x, float(self._post_shape(lag)), self.b0)
 
     def sufficient_stat(self, x: float) -> float:
         x = float(x)

@@ -41,7 +41,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .calibration import GlrThresholdInputs, cusum_threshold, window_size
 from .detectors import FullCusum, WlCusum, WlGlr
@@ -529,6 +528,16 @@ class QqReport:
     num_samples: int
 
 
+def _geom_ppf(q: np.ndarray, p: float) -> np.ndarray:
+    """Least k >= 1 with 1 - (1 - p)^k >= q, for q and p in (0, 1).
+
+    scipy's geom ``_ppf``: the same bits as ``scipy.stats.geom.ppf`` without
+    importing scipy.stats.
+    """
+    vals = np.ceil(np.log1p(-q) / np.log1p(-p))
+    return np.where((-np.expm1(np.log1p(-p) * (vals - 1)) >= q) & (vals > 0), vals - 1, vals)
+
+
 def geometric_qq(times) -> QqReport:
     """Compare uncensored stopping times against the fitted geometric law.
 
@@ -546,7 +555,7 @@ def geometric_qq(times) -> QqReport:
     probs = np.arange(1, 100) / 100.0
     p_hat = 1.0 / times.mean()
     empirical = np.quantile(times, probs)
-    theoretical = stats.geom.ppf(probs, p_hat)
+    theoretical = _geom_ppf(probs, p_hat)
     if theoretical.min() == theoretical.max():
         raise ValueError("fitted geometric quantiles are constant; p_hat is degenerate")
     corr = float(np.corrcoef(theoretical, empirical)[0, 1])
