@@ -137,11 +137,11 @@ def glr_threshold(alpha: float, theta_volume: float, dim: int, epsilon: float) -
     """
     alpha = _check_alpha(alpha)
     theta_volume = float(theta_volume)
-    if theta_volume <= 0:
-        raise ValueError(f"theta_volume must be > 0, got {theta_volume}")
+    if not (0.0 < theta_volume < math.inf):  # also rejects NaN
+        raise ValueError(f"theta_volume must be finite and > 0, got {theta_volume}")
     epsilon = float(epsilon)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not (0.0 <= epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     c = epsilon * int(dim) / 2.0
     rhs = 1.0 + math.log(theta_volume / unit_ball_volume(dim)) - math.log(alpha)
     if c == 0.0:
@@ -167,7 +167,8 @@ def glr_threshold(alpha: float, theta_volume: float, dim: int, epsilon: float) -
         )
     residual = glr_threshold_residual(b, alpha, theta_volume, dim, epsilon)
     if residual > 1e-9:
-        raise CalibrationError(f"threshold root residual {residual:.3g} exceeds 1e-9")
+        raise CalibrationError(f"threshold root residual {residual:.3g} exceeds 1e-9 "
+                               f"at epsilon={epsilon:g}, dim={dim}")
     return b
 
 

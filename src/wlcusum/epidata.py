@@ -88,11 +88,12 @@ def load_case_csv(path, population: float, *, cumulative: bool = False,
 
     Dates must be ISO-8601 and strictly increasing. With cumulative=True the
     column is differenced into daily counts, clamping negative corrections to
-    zero. Malformed rows abort with a message listing their line numbers.
+    zero. Malformed rows abort with a message listing their line numbers. A
+    UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
     problems: list[str] = []
     rows: list[tuple[date, float]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["date", "cases"]:

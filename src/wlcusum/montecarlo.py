@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -360,6 +359,8 @@ def _run(plans: list[TrialPlan], curve: GrowthCurve | None = None):
     n, workers = int(plans[0].num_trials), plans[0].workers
     if workers == 1:
         return _run_chunk(plans, 0, n, caps)
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     # one chunk per worker: a lockstep batch pays its per-step cost until its
     # longest trial ends, so fewer, larger batches do less work in total
     chunk = max(1, math.ceil(n / workers))

@@ -94,6 +94,24 @@ def test_glr_threshold_validation():
         glr_threshold(1e-3, 1.0, 1, -0.5)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((0.01, math.nan, 1, 0.0), "theta_volume"),
+    ((0.01, math.inf, 1, 0.0), "theta_volume"),
+    ((0.01, math.inf, 1, 0.5), "theta_volume"),
+    ((0.01, 1.0, 1, math.inf), "epsilon"),
+    ((0.01, math.nan, 1, 0.5), "theta_volume"),
+])
+def test_glr_threshold_refuses_non_finite_inputs(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        glr_threshold(*args)
+
+
+def test_glr_threshold_residual_error_names_epsilon_and_dim():
+    # finite but so large that b - c ln b loses the right-hand side to rounding
+    with pytest.raises(CalibrationError, match=r"residual .* at epsilon=1e\+300, dim=1$"):
+        glr_threshold(0.01, 1.0, 1, 1e300)
+
+
 def test_glr_inputs_dataclass_solve():
     inputs = GlrThresholdInputs(alpha=1e-3, theta_volume=456.19, dim=3, epsilon=1.0)
     assert inputs.solve() == glr_threshold(1e-3, 456.19, 3, 1.0)

@@ -95,6 +95,16 @@ class TestLoadCaseCsv:
         series = load_case_csv(path, population=1000)
         assert len(series.counts) == 2
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = _write_csv(tmp_path, ["2020-06-01,10", "2020-06-02,4", "2020-06-03,7"])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain = load_case_csv(path, population=1000, region="r")
+        marked = load_case_csv(bom, population=1000, region="r")
+        assert marked.dates == plain.dates
+        assert marked.counts.tobytes() == plain.counts.tobytes()
+        assert (marked.population, marked.region) == (plain.population, plain.region)
+
     def test_dates_must_increase(self, tmp_path):
         rows = ["2020-06-02,10", "2020-06-01,20"]
         with pytest.raises(ValueError, match="increas"):

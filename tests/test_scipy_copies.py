@@ -1,11 +1,16 @@
 """The library's copies of scipy arithmetic give scipy's bits, and importing
-the package leaves ``scipy.stats`` and ``scipy.optimize`` unloaded.
+the package leaves ``scipy.stats`` and ``scipy.optimize`` unloaded. So do GEM
+and decay runs on one worker, which also leave ``scipy.special`` and the
+process pool unloaded; a Beta wave loads ``scipy.special`` when it is built.
 
 Only these tests import scipy's own versions.
 """
 
+import dataclasses
+import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -101,12 +106,82 @@ def test_geometric_qq_quantiles_are_scipys(p, size):
     assert _bits(report.theoretical) == _bits(stats.geom.ppf(report.probs, report.p_hat))
 
 
-def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    # a fresh interpreter, since this one has imported both above
+# modules a GEM or decay run must not load: scipy.stats and scipy.optimize
+# have copies above, scipy.special only serves the Beta wave, and the process
+# pool only a run with workers > 1
+HEAVY = ("scipy.special", "scipy.stats", "scipy.optimize", "concurrent.futures.process")
+HEAVY_LOADED = f"sorted(m for m in sys.modules if m.startswith({HEAVY!r}))"
+GEM = ["--model", "gem", "--mu0", "0.1", "--sigma0-sq", "1e4", "--theta", "0.4"]
+DECAY = ["--model", "decay", "--mu1", "2", "--sigma-sq", "4", "--theta", "0.2"]
+
+
+def _fresh(code):
+    """stdout of code run in a fresh interpreter, since this one has imported
+    scipy's modules above."""
     here = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": str(here.parent / "src")}
-    code = ("import sys, wlcusum, wlcusum.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_fresh_process_leaves_heavy_modules_unloaded(tmp_path):
+    # what is loaded after the import, then after each run in the same process
+    runs = {
+        "estimate-mtfa-gem": ["estimate-mtfa", *GEM, "--alpha", "1e-2", "--window", "25",
+                              "--trials", "6", "--seed", "1", "--max-steps", "300"],
+        "estimate-add-decay": ["estimate-add", *DECAY, "--alpha", "1e-3", "--nu", "5",
+                               "--trials", "8", "--seed", "5"],
+    }
+    code = f"""
+import contextlib, io, json, sys, warnings
+import wlcusum, wlcusum.cli
+loaded = {{"import": {HEAVY_LOADED}}}
+for name, argv in {runs!r}.items():
+    with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # censored MTFA trials
+        assert wlcusum.cli.main([*argv, "--workers", "1", "--out", {str(tmp_path)!r} + "/" + name]) == 0
+    loaded[name] = {HEAVY_LOADED}
+print(json.dumps(loaded))
+"""
+    assert json.loads(_fresh(code)) == {"import": [], **{name: [] for name in runs}}
+
+
+def test_building_a_beta_wave_loads_scipy_special():
+    code = f"""
+import sys
+from wlcusum.models import BetaWaveModel
+before = {HEAVY_LOADED}
+BetaWaveModel(5.0, 20.0, (0.5, 10.0, 4.0))
+print(before, "scipy.special" in sys.modules)
+"""
+    assert _fresh(code) == "[] True"
+
+
+BETA_WAVE = BetaWaveModel(5.0, 20.0, (0.5, 10.0, 4.0))
+LAGS = np.arange(40)
+
+
+def test_unpickled_beta_wave_gives_the_same_bits():
+    # an unpickled model skips __post_init__, as in a spawned worker
+    code = f"""
+import json, pickle, sys
+import numpy as np
+model = pickle.loads({pickle.dumps(BETA_WAVE)!r})
+assert "scipy.special" not in sys.modules
+lags = np.arange({len(LAGS)})
+values = [*model.llr_terms(lags), *model.stat_moments(lags),
+          [model.log_pre_density(0.3), model.log_post_density(0.3, 12, 2)]]
+print(json.dumps([np.asarray(v, dtype=float).view(np.int64).tolist() for v in values]))
+"""
+    want = [*BETA_WAVE.llr_terms(LAGS), *BETA_WAVE.stat_moments(LAGS),
+            [BETA_WAVE.log_pre_density(0.3), BETA_WAVE.log_post_density(0.3, 12, 2)]]
+    assert json.loads(_fresh(code)) == [_bits(v) for v in want]
+
+
+def test_beta_wave_trials_on_two_workers_equal_one():
+    plan = montecarlo.TrialPlan(model=BETA_WAVE, detector="wl-cusum", threshold=6.0, window=15,
+                                nu=20, num_trials=10, seed=5, max_steps=400)
+    serial = montecarlo.run_trials(plan)
+    parallel = montecarlo.run_trials(dataclasses.replace(plan, workers=2))
+    assert [a.tobytes() for a in parallel] == [a.tobytes() for a in serial]
