@@ -115,7 +115,10 @@ def unit_ball_volume(dim: int) -> float:
     dim = int(dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return math.pi ** (dim / 2.0) / math.gamma(1.0 + dim / 2.0)
+    try:
+        return math.pi ** (dim / 2.0) / math.gamma(1.0 + dim / 2.0)
+    except OverflowError:
+        raise ValueError(f"dim={dim} is too large: Gamma(1 + dim/2) overflows a float") from None
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import time
 from dataclasses import asdict, replace
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -200,45 +202,83 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-# The CSV cell rule, looked up by exact type to keep long tables cheap: a float
-# as repr(float(v)) and a flag as 0/1. csv itself writes None as a blank and
-# anything else (ints, strings, dates) through str().
-_CELL = {float: float.__repr__, np.float64: float.__repr__, bool: int, np.bool_: int}
+def _flag(v) -> str:
+    return "1" if v else "0"
 
 
-def _write_csv(path: Path, header, rows, written: list) -> None:
+# The CSV cell rule, looked up by exact type: a float as repr(float(v)), a flag
+# as 0/1, None as a blank and anything else (ints, strings, dates) as str(v),
+# as csv.writer would write it.
+_CELL = {float: float.__repr__, np.float64: float.__repr__, bool: _flag, np.bool_: _flag,
+         type(None): lambda v: "", date: date.isoformat}
+# a cell holding one of these needs csv's quoting
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _cell(v) -> str:
+    return _CELL.get(type(v), str)(v)
+
+
+def _column_text(values) -> list[str]:
+    """One table column as CSV cell text under the cell rule.
+
+    A column of one type is formatted by one map, and a column that holds the
+    same object more than once formats it once. Repeats are found by identity,
+    never by value: 0.0 == -0.0 and 1 == 1.0 == True, yet their cells differ.
+    """
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    ids = list(map(id, values))
+    distinct = dict(zip(ids, values))  # the column holds every value, so no id is reused
+    kinds = set(map(type, distinct.values()))
+    f = _CELL.get(kinds.pop(), str) if len(kinds) == 1 else _cell
+    if len(distinct) == len(ids):
+        return list(map(f, values))
+    text = dict(zip(distinct, map(f, distinct.values())))
+    return list(map(text.__getitem__, ids))
+
+
+def _write_csv(path: Path, header, columns, written: list) -> None:
+    """Write a table given column by column (each a sequence or array, all one length).
+
+    The bytes are csv.writer's. Unless a cell needs quoting, or the table has
+    one column (csv quotes an empty row), the lines are joined directly.
+    """
+    texts = [_column_text(c) for c in columns]
+    lines = [header, *zip(*texts)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f(v) if (f := _CELL.get(type(v))) else v for v in row]
-                         for row in rows)
+        if len(texts) > 1 and not any(_QUOTED.search("".join(t)) for t in [header, *texts]):
+            fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
+        else:
+            csv.writer(fh).writerows(lines)
     written.append(path)
 
 
 def _write_trials(path: Path, times, censored, written: list) -> None:
-    _write_csv(path, ["trial", "time", "censored"],
-               zip(range(len(times)), times, censored), written)
+    _write_csv(path, ["trial", "time", "censored"], [range(len(times)), times, censored],
+               written)
 
 
-# The tables behind oc.csv, qq.csv and trajectory.csv, as (header, rows).
+# The tables behind oc.csv, qq.csv and trajectory.csv, as (header, columns).
 def _oc_table(rows):
     return (["alpha", "threshold", "window", "delay_mean", "delay_stderr", "num_uncensored",
              "censor_rate"],
-            [(r.alpha, r.threshold, r.window, r.delay.mean, r.delay.stderr,
-              r.delay.num_uncensored, r.delay.censor_rate) for r in rows])
+            list(zip(*[(r.alpha, r.threshold, r.window, r.delay.mean, r.delay.stderr,
+                        r.delay.num_uncensored, r.delay.censor_rate) for r in rows])))
 
 
 def _qq_table(report):
-    return (["prob", "theoretical", "empirical"],
-            zip(report.probs, report.theoretical, report.empirical))
+    return ["prob", "theoretical", "empirical"], [report.probs, report.theoretical,
+                                                  report.empirical]
 
 
 def _trajectory_table(result):
+    outputs = result.outputs
     no_theta = (None, None, None)
+    thetas = [no_theta if t is None else t for t in map(attrgetter("theta_hat"), outputs)]
     return (["date", "statistic", "threshold", "alarm", "k_star", "theta0", "theta1", "theta2"],
-            [(d, out.statistic, result.threshold, out.alarm, out.k_star,
-              *(no_theta if out.theta_hat is None else out.theta_hat))
-             for d, out in zip(result.dates, result.outputs)])
+            [result.dates, list(map(attrgetter("statistic"), outputs)),
+             [result.threshold] * len(outputs), list(map(attrgetter("alarm"), outputs)),
+             list(map(attrgetter("k_star"), outputs)), *zip(*thetas)])
 
 
 def _delay_dict(est) -> dict:
@@ -349,9 +389,9 @@ def _cmd_diagnostics(args, out_dir, written):
     )
     lemma1 = lemma1_diagnostics(model, args.n_max, shift_max=args.shift_max)
     _write_csv(out_dir / "growth_condition.csv", ["x", "log_inverse_over_x"],
-               zip(growth.x, growth.ratio), written)
+               [growth.x, growth.ratio], written)
     _write_csv(out_dir / "lemma1.csv", ["n", "variance_ratio"],
-               zip(lemma1.ns, lemma1.variance_ratio), written)
+               [lemma1.ns, lemma1.variance_ratio], written)
     payload = {
         "growth_condition": {"satisfied": growth.satisfied, "x_max": growth.x_max},
         "variance_ratio_range": [float(np.min(lemma1.variance_ratio)),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from datetime import date
 
@@ -82,6 +83,40 @@ class FractionSeries:
         )
 
 
+def _parse_case_rows(path, rows) -> tuple[tuple, np.ndarray]:
+    """Dates and counts of the data rows after the header, skipping blank ones;
+    raises one ValueError that lists every malformed row by its line number."""
+    problems: list[str] = []
+    dates: list[date] = []
+    counts: list[float] = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(not f.strip() for f in row):
+            continue
+        if len(row) != 2:
+            problems.append(f"line {lineno}: expected 2 fields, got {len(row)}")
+            continue
+        try:
+            d = date.fromisoformat(row[0].strip())
+        except ValueError:
+            problems.append(f"line {lineno}: bad date {row[0]!r}")
+            continue
+        try:
+            c = float(row[1])
+        except ValueError:
+            problems.append(f"line {lineno}: bad count {row[1]!r}")
+            continue
+        if not math.isfinite(c) or c < 0:
+            problems.append(f"line {lineno}: count must be finite and >= 0, got {row[1]!r}")
+            continue
+        dates.append(d)
+        counts.append(c)
+    if problems:
+        raise ValueError(f"{path}: malformed rows: " + "; ".join(problems))
+    if not dates:
+        raise ValueError(f"{path}: no data rows")
+    return tuple(dates), np.array(counts, dtype=float)
+
+
 def load_case_csv(path, population: float, *, cumulative: bool = False,
                   region: str = "") -> CaseSeries:
     """Read a `date,cases` CSV into a CaseSeries.
@@ -91,43 +126,26 @@ def load_case_csv(path, population: float, *, cumulative: bool = False,
     zero. Malformed rows abort with a message listing their line numbers. A
     UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
-    problems: list[str] = []
-    rows: list[tuple[date, float]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["date", "cases"]:
             raise ValueError(f"{path}: expected header 'date,cases', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != 2:
-                problems.append(f"line {lineno}: expected 2 fields, got {len(row)}")
-                continue
-            try:
-                d = date.fromisoformat(row[0].strip())
-            except ValueError:
-                problems.append(f"line {lineno}: bad date {row[0]!r}")
-                continue
-            try:
-                c = float(row[1])
-            except ValueError:
-                problems.append(f"line {lineno}: bad count {row[1]!r}")
-                continue
-            if not math.isfinite(c) or c < 0:
-                problems.append(f"line {lineno}: count must be finite and >= 0, got {row[1]!r}")
-                continue
-            rows.append((d, c))
-    if problems:
-        raise ValueError(f"{path}: malformed rows: " + "; ".join(problems))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    dates = tuple(d for d, _ in rows)
-    for a, b in zip(dates, dates[1:]):
-        if b <= a:
-            raise ValueError(f"{path}: dates must be strictly increasing "
-                             f"({a.isoformat()} then {b.isoformat()})")
-    counts = np.array([c for _, c in rows], dtype=float)
+        rows = list(reader)
+    try:  # a well-formed file in one pass, column by column
+        if set(map(len, rows)) != {2}:
+            raise ValueError
+        days, cases = zip(*rows)
+        dates = tuple(map(date.fromisoformat, map(str.strip, days)))
+        counts = np.fromiter(map(float, cases), float, len(cases))
+        if not (np.isfinite(counts).all() and (counts >= 0.0).all()):
+            raise ValueError
+    except ValueError:  # find and report every bad row
+        dates, counts = _parse_case_rows(path, rows)
+    if not all(map(operator.lt, dates, dates[1:])):
+        a, b = next((a, b) for a, b in zip(dates, dates[1:]) if b <= a)
+        raise ValueError(f"{path}: dates must be strictly increasing "
+                         f"({a.isoformat()} then {b.isoformat()})")
     if cumulative:
         counts = np.clip(np.diff(counts, prepend=0.0), 0.0, None)
     return CaseSeries(dates=dates, counts=counts, population=float(population), region=region)
@@ -401,7 +419,7 @@ def monitor(
         threshold = glr_threshold(alpha, volume, 3, epsilon)
     model = BetaWaveModel(a0=beta.a0, b0=beta.b0, theta=tuple(box.mean(axis=1)))
     detector = WlGlr(model, threshold, int(window), theta_grid(box, grid_counts))
-    outputs = [detector.step(float(v)) for v in x]
+    outputs = list(map(detector.step, x.tolist()))
     first = next((i for i, out in enumerate(outputs) if out.alarm), None)
     return MonitorResult(
         dates=series.dates,

@@ -408,6 +408,15 @@ def _check_wave(theta) -> np.ndarray:
     return points
 
 
+def _per_distinct(f, values: np.ndarray) -> np.ndarray:
+    """f(v) for each entry of a float array, called once per distinct value.
+
+    0.0 and -0.0 (and every NaN) share one call, so f must give them equal values.
+    """
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array([f(v) for v in distinct.tolist()])[where]
+
+
 def wave_multiplier(theta, lag):
     """Bell-shaped multiplier applied to the Beta shape parameter after a change.
 
@@ -424,11 +433,10 @@ def wave_multiplier(theta, lag):
         t0, t1, t2 = points.tolist()
         amplitude, width = 10.0**t0 / t2, 2.0 * t2**2
     else:
-        # Python float powers, one per point as for one point alone: numpy's
-        # SIMD power loops round differently from libm on some CPUs
-        rows = points.tolist()
-        amplitude = np.array([10.0**t0 / t2 for t0, _, t2 in rows])
-        width = np.array([2.0 * t2**2 for *_, t2 in rows])
+        # Python float powers as for one point alone, one per distinct axis value:
+        # numpy's SIMD power loops round differently from libm on some CPUs
+        amplitude = _per_distinct(lambda t0: 10.0**t0, points[:, 0]) / points[:, 2]
+        width = _per_distinct(lambda t2: 2.0 * t2**2, points[:, 2])
         t1 = points[:, 1]
     lag = np.asarray(lag, dtype=float)
     out = 1.0 + amplitude * np.exp(-((lag - t1) ** 2) / width)

@@ -356,18 +356,18 @@ def _run(plans: list[TrialPlan], curve: GrowthCurve | None = None):
                 "window=None is only a placeholder for per-alpha sizing"
             )
     caps = [_step_cap(plan, curve) for plan in plans]
-    n, workers = int(plans[0].num_trials), plans[0].workers
-    if workers == 1:
+    n = int(plans[0].num_trials)
+    # one chunk per worker: a lockstep batch pays its per-step cost until its
+    # longest trial ends, so fewer, larger batches do less work in total
+    chunk = max(1, math.ceil(n / plans[0].workers))
+    bounds = [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
+    if len(bounds) <= 1:  # one worker, or too few trials for more than one chunk
         return _run_chunk(plans, 0, n, caps)
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-    # one chunk per worker: a lockstep batch pays its per-step cost until its
-    # longest trial ends, so fewer, larger batches do less work in total
-    chunk = max(1, math.ceil(n / workers))
-    bounds = [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
     times = np.empty((len(plans), n), dtype=np.int64)
     censored = np.empty((len(plans), n), dtype=bool)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
         futures = [pool.submit(_run_chunk, plans, a, b, caps) for a, b in bounds]
         for (a, b), fut in zip(bounds, futures):
             times[:, a:b], censored[:, a:b] = fut.result()

@@ -42,6 +42,17 @@ def test_unit_ball_volume():
         unit_ball_volume(0)
 
 
+def test_unit_ball_volume_too_large_a_dim_names_dim():
+    # Gamma(1 + dim/2) first overflows a float at dim = 342
+    assert 0.0 < unit_ball_volume(341) < 1e-200
+    with pytest.raises(ValueError, match=r"^dim=342 is too large"):
+        unit_ball_volume(342)
+    with pytest.raises(ValueError, match=r"^dim=400 is too large"):
+        glr_threshold(0.01, 1.0, 400, 0.5)
+    with pytest.raises(ValueError, match=r"^dim=400 is too large"):
+        glr_threshold_residual(20.0, 0.01, 1.0, 400, 0.5)
+
+
 def test_glr_threshold_frozen_values():
     assert glr_threshold(1e-3, 456.19, 3, 1.0) == pytest.approx(GLR_B_COUNTY, rel=1e-14)
     assert glr_threshold(1e-3, 0.5, 1, 5.5) == pytest.approx(GLR_B_GEM, rel=1e-14)

@@ -53,6 +53,55 @@ def _run(capsys, argv):
     return code, payload, captured.err
 
 
+def _reference_csv(path, header, columns):
+    """The cell rule applied cell by cell through csv.writer."""
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return int(v)
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return v  # csv writes None as a blank and str() of the rest
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*[[cell(v) for v in column] for column in columns]))
+
+
+NEG_ZERO, NAN = -0.0, math.nan
+
+
+@pytest.mark.parametrize("text", ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r"])
+def test_write_csv_applies_the_cell_rule_to_every_cell(tmp_path, text):
+    # repeated objects (0.0 and -0.0 among them) take the per-object memo; equal
+    # values of different types must keep their own text
+    columns = [
+        [0.0, NEG_ZERO, 0.0, NEG_ZERO, NAN, math.inf, -math.inf, NAN],
+        [1, 1.0, True, np.float64(NEG_ZERO), np.bool_(True), None, date(2020, 6, 1), text],
+        [1.0, 1, 1.0, 1, True, True, np.float64(1.0), np.float64(1.0)],
+        np.array([0.0, -0.0, 0.1, 1e300, 5e-324, -np.inf, np.nan, 0.0]),
+        np.array([True, False, True, True, False, False, True, False]),
+        [np.bool_(False), np.bool_(True)] * 4,
+        [None, text] * 4,
+        list(range(253, 261)),  # small ints are shared objects, larger ones not
+        np.arange(8, dtype=np.int64) * 10**12,
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    written = []
+    cli._write_csv(got, header, columns, written)
+    _reference_csv(want, header, columns)
+    assert got.read_bytes() == want.read_bytes()
+    assert written == [got]
+
+
+def test_write_csv_one_column_quotes_a_blank_row_as_csv_does(tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_csv(got, ["x"], [[None, -0.0, None]], [])
+    _reference_csv(want, ["x"], [[None, -0.0, None]])
+    assert got.read_bytes() == want.read_bytes() == b'x\r\n""\r\n-0.0\r\n""\r\n'
+
+
 class TestCalibrate:
     def test_cusum_threshold_and_window(self, tmp_path, capsys):
         out = tmp_path / "out"

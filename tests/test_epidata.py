@@ -105,6 +105,58 @@ class TestLoadCaseCsv:
         assert marked.counts.tobytes() == plain.counts.tobytes()
         assert (marked.population, marked.region) == (plain.population, plain.region)
 
+    # A well-formed file is read in one pass; any other file is read again row by
+    # row, and these messages are that second reading's.
+
+    def test_only_the_last_row_bad(self, tmp_path):
+        path = _write_csv(tmp_path, ["2020-06-01,10", "2020-06-02,20", "2020-06-03,x"])
+        with pytest.raises(ValueError) as exc:
+            load_case_csv(path, population=1000)
+        assert str(exc.value) == f"{path}: malformed rows: line 4: bad count 'x'"
+
+    @pytest.mark.parametrize("row, fields", [("2020-06-02,5,6", 3), ("2020-06-02", 1)])
+    def test_only_one_row_of_the_wrong_width(self, tmp_path, row, fields):
+        path = _write_csv(tmp_path, ["2020-06-01,10", row, "2020-06-03,7"])
+        with pytest.raises(ValueError) as exc:
+            load_case_csv(path, population=1000)
+        assert str(exc.value) == (f"{path}: malformed rows: "
+                                  f"line 3: expected 2 fields, got {fields}")
+
+    def test_bad_rows_after_blank_lines_keep_their_line_numbers(self, tmp_path):
+        rows = ["2020-06-01,10", "", "   ", "2020-06-02,oops", " , ", "2020-06-03,5,6",
+                "bad,1", "2020-06-05,-1", "2020-06-06,nan"]
+        path = _write_csv(tmp_path, rows)
+        with pytest.raises(ValueError) as exc:
+            load_case_csv(path, population=1000)
+        assert str(exc.value) == (
+            f"{path}: malformed rows: line 5: bad count 'oops'; "
+            "line 7: expected 2 fields, got 3; line 8: bad date 'bad'; "
+            "line 9: count must be finite and >= 0, got '-1'; "
+            "line 10: count must be finite and >= 0, got 'nan'")
+
+    def test_one_pass_and_row_by_row_readings_agree(self, tmp_path):
+        rows = ["2020-06-01, 10", "2020-06-02,2.5e1", " 2020-06-03,0", "2020-06-04,-0.0"]
+        clean = load_case_csv(_write_csv(tmp_path, rows), population=1000, cumulative=True)
+        blank = load_case_csv(_write_csv(tmp_path, [*rows, ""]), population=1000,
+                              cumulative=True)  # a blank line: read row by row
+        assert blank.dates == clean.dates
+        assert blank.counts.tobytes() == clean.counts.tobytes()
+
+    def test_a_late_date_out_of_order(self, tmp_path):
+        rows = [f"2020-06-{d:02d},{d}" for d in range(1, 28)] + ["2020-06-26,3"]
+        path = _write_csv(tmp_path, rows)
+        with pytest.raises(ValueError) as exc:
+            load_case_csv(path, population=1000)
+        assert str(exc.value) == (f"{path}: dates must be strictly increasing "
+                                  "(2020-06-27 then 2020-06-26)")
+
+    def test_byte_order_mark_with_spaced_header_and_fields(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf Date , Cases \n2020-06-01, 10\n 2020-06-02 ,4\n")
+        series = load_case_csv(path, population=1000)
+        assert series.dates == (date(2020, 6, 1), date(2020, 6, 2))
+        assert series.counts.tolist() == [10.0, 4.0]
+
     def test_dates_must_increase(self, tmp_path):
         rows = ["2020-06-02,10", "2020-06-01,20"]
         with pytest.raises(ValueError, match="increas"):

@@ -66,6 +66,24 @@ class TestRunTrials:
         np.testing.assert_array_equal(serial[0], parallel[0])
         np.testing.assert_array_equal(serial[1], parallel[1])
 
+    def test_pool_has_one_worker_per_chunk(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        serial = run_trials(_plan(num_trials=3))
+        parallel = run_trials(_plan(num_trials=3, workers=4))  # chunks of 1, 1 and 1
+        one_chunk = run_trials(_plan(num_trials=1, workers=4))
+        assert sizes == [3]
+        assert [a.tobytes() for a in parallel] == [a.tobytes() for a in serial]
+        assert [a.tobytes() for a in one_chunk] == [a[:1].tobytes() for a in serial]
+
     def test_trial_streams_are_independent_of_batch_size(self):
         # per-trial seeding: a longer run must extend, not reshuffle
         small = run_trials(_plan(num_trials=25))

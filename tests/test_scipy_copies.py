@@ -21,7 +21,7 @@ from scipy import stats
 from scipy.optimize import brentq
 
 from wlcusum import calibration, montecarlo
-from wlcusum.models import BetaWaveModel
+from wlcusum.models import BetaWaveModel, GemModel
 
 
 def _bits(x):
@@ -150,7 +150,7 @@ print(json.dumps(loaded))
 def test_building_a_beta_wave_loads_scipy_special():
     code = f"""
 import sys
-from wlcusum.models import BetaWaveModel
+from wlcusum.models import BetaWaveModel, GemModel
 before = {HEAVY_LOADED}
 BetaWaveModel(5.0, 20.0, (0.5, 10.0, 4.0))
 print(before, "scipy.special" in sys.modules)
@@ -159,6 +159,7 @@ print(before, "scipy.special" in sys.modules)
 
 
 BETA_WAVE = BetaWaveModel(5.0, 20.0, (0.5, 10.0, 4.0))
+GEM_MODEL = GemModel(0.1, 1e4, 0.4)
 LAGS = np.arange(40)
 
 
@@ -185,3 +186,21 @@ def test_beta_wave_trials_on_two_workers_equal_one():
     serial = montecarlo.run_trials(plan)
     parallel = montecarlo.run_trials(dataclasses.replace(plan, workers=2))
     assert [a.tobytes() for a in parallel] == [a.tobytes() for a in serial]
+
+
+def test_one_chunk_of_trials_runs_without_a_pool():
+    # one trial on four workers is one chunk: it runs in this process
+    code = f"""
+import json, sys
+from wlcusum.models import GemModel
+from wlcusum.montecarlo import TrialPlan, run_trials
+plan = TrialPlan(model=GemModel(0.1, 1e4, 0.4), detector="wl-cusum", threshold=4.0,
+                 window=25, nu=1, num_trials=1, seed=3, workers=4)
+times, censored = run_trials(plan)
+loaded = {HEAVY_LOADED}
+print(json.dumps([times.tolist(), censored.tolist(), loaded]))
+"""
+    serial = montecarlo.run_trials(montecarlo.TrialPlan(
+        model=GEM_MODEL, detector="wl-cusum", threshold=4.0, window=25, nu=1, num_trials=1,
+        seed=3, workers=1))
+    assert json.loads(_fresh(code)) == [serial[0].tolist(), serial[1].tolist(), []]
