@@ -241,8 +241,54 @@ def _check_real(x) -> float:
     return x
 
 
+class _GaussianModel(ObservationModel):
+    """Gaussian observations of known variance whose post-change mean follows a
+    path in the lag: t(x) = x.
+
+    A subclass names its pre-change mean ``_pre_mean`` and its variance
+    ``_var``, and gives the path as ``_post_mean(lags)`` and the affine LLR
+    as ``llr_terms``; the densities, samplers and moments are these.
+    """
+
+    def log_pre_density(self, x: float) -> float:
+        return _norm_logpdf(_check_real(x), self._pre_mean, self._var)
+
+    def log_post_density(self, x: float, n: int, k: int) -> float:
+        lag = _check_times(n, k)
+        return _norm_logpdf(_check_real(x), float(self._post_mean(lag)), self._var)
+
+    def sufficient_stat(self, x: float) -> float:
+        return _check_real(x)
+
+    def sufficient_stats(self, xs):
+        return np.asarray(xs, dtype=float)  # t(x) = x; non-finite x stays non-finite
+
+    def sample_pre(self, rng, size=None):
+        return rng.normal(self._pre_mean, math.sqrt(self._var), size)
+
+    def sample_post_lags(self, rng, lags):
+        """N(_post_mean(l), _var) draws, bit for bit rng.normal(means, sd).
+
+        rng.normal with an array loc takes numpy's broadcast path, which costs
+        more than the draws. It computes loc + scale * z per element from one
+        standard normal each, in order, so this gives the same values and
+        leaves rng in the same state. Where the mean overflows (GEM's
+        e^{theta l} at lag 1,775 for theta = 0.4) it and its draw are +inf:
+        a detector that consumes that draw raises SupportError.
+        """
+        means = self._post_mean(lags)
+        return means + math.sqrt(self._var) * rng.standard_normal(len(means))
+
+    def stat_moments(self, lags):
+        means = self._post_mean(lags)
+        return means, np.full_like(means, self._var)
+
+    def with_theta(self, theta):
+        return replace(self, theta=_point_or_grid(theta))
+
+
 @dataclass(frozen=True)
-class GemModel(ObservationModel):
+class GemModel(_GaussianModel):
     """Gaussian observations whose post-change mean grows exponentially.
 
     Pre-change:  X ~ N(mu0, sigma0_sq)
@@ -270,23 +316,12 @@ class GemModel(ObservationModel):
         if bad is not None:
             raise ValueError(f"theta must be > 0, got {bad}")
 
+    _pre_mean = property(lambda self: self.mu0)
+    _var = property(lambda self: self.sigma0_sq)
+
     def _post_mean(self, lags):
         with np.errstate(over="ignore"):  # +inf once e^{theta l} overflows
             return self.mu0 * np.exp(self.theta * np.asarray(lags, dtype=float))
-
-    def log_pre_density(self, x: float) -> float:
-        return _norm_logpdf(_check_real(x), self.mu0, self.sigma0_sq)
-
-    def log_post_density(self, x: float, n: int, k: int) -> float:
-        lag = _check_times(n, k)
-        mean = self.mu0 * math.exp(self.theta * lag)
-        return _norm_logpdf(_check_real(x), mean, self.sigma0_sq)
-
-    def sufficient_stat(self, x: float) -> float:
-        return _check_real(x)
-
-    def sufficient_stats(self, xs):
-        return np.asarray(xs, dtype=float)  # t(x) = x; non-finite x stays non-finite
 
     def llr_terms(self, lags):
         lags = np.asarray(lags, dtype=float)
@@ -303,32 +338,13 @@ class GemModel(ObservationModel):
             intercepts = np.where(dead, -np.inf, intercepts)
         return slopes, intercepts
 
-    def sample_pre(self, rng, size=None):
-        return rng.normal(self.mu0, math.sqrt(self.sigma0_sq), size)
-
-    def sample_post_lags(self, rng, lags):
-        """N(mu0 e^{theta l}, sigma0_sq) draws, bit for bit rng.normal(means, sd).
-
-        rng.normal with an array loc takes numpy's broadcast path, which costs
-        more than the draws. It computes loc + scale * z per element from one
-        standard normal each, in order, so this gives the same values and
-        leaves rng in the same state. Where e^{theta l} overflows (lag 1,775
-        at theta = 0.4) the mean and its draw are +inf: a detector that
-        consumes that draw raises SupportError.
-        """
-        means = self._post_mean(lags)
-        return means + math.sqrt(self.sigma0_sq) * rng.standard_normal(len(means))
-
-    def stat_moments(self, lags):
-        means = self._post_mean(lags)
-        return means, np.full_like(means, self.sigma0_sq)
-
-    def with_theta(self, theta):
-        return replace(self, theta=_point_or_grid(theta))
+    # in the class's own __dict__, where a tracer patches them per model
+    sufficient_stat = _GaussianModel.sufficient_stat
+    with_theta = _GaussianModel.with_theta
 
 
 @dataclass(frozen=True)
-class DecayModel(ObservationModel):
+class DecayModel(_GaussianModel):
     """Gaussian observations whose post-change mean decays polynomially.
 
     Pre-change:  X ~ N(0, sigma_sq)
@@ -349,41 +365,18 @@ class DecayModel(ObservationModel):
         if bad is not None:
             raise ValueError(f"theta must lie in (0, 0.5), got {bad}")
 
+    _pre_mean = 0.0
+    _var = property(lambda self: self.sigma_sq)
+
     def _post_mean(self, lags):
         return self.mu1 * (np.asarray(lags, dtype=float) + 1.0) ** (-self.theta)
-
-    def log_pre_density(self, x: float) -> float:
-        return _norm_logpdf(_check_real(x), 0.0, self.sigma_sq)
-
-    def log_post_density(self, x: float, n: int, k: int) -> float:
-        lag = _check_times(n, k)
-        return _norm_logpdf(_check_real(x), float(self._post_mean(lag)), self.sigma_sq)
-
-    def sufficient_stat(self, x: float) -> float:
-        return _check_real(x)
-
-    def sufficient_stats(self, xs):
-        return np.asarray(xs, dtype=float)  # t(x) = x; non-finite x stays non-finite
 
     def llr_terms(self, lags):
         means = self._post_mean(lags)
         return means / self.sigma_sq, -(means**2) / (2.0 * self.sigma_sq)
 
-    def sample_pre(self, rng, size=None):
-        return rng.normal(0.0, math.sqrt(self.sigma_sq), size)
-
-    def sample_post_lags(self, rng, lags):
-        """N(mu1 (l + 1)^{-theta}, sigma_sq) draws, bit for bit rng.normal(means, sd)
-        as in GemModel.sample_post_lags."""
-        means = self._post_mean(lags)
-        return means + math.sqrt(self.sigma_sq) * rng.standard_normal(len(means))
-
-    def stat_moments(self, lags):
-        means = self._post_mean(lags)
-        return means, np.full_like(means, self.sigma_sq)
-
-    def with_theta(self, theta):
-        return replace(self, theta=_point_or_grid(theta))
+    sufficient_stat = _GaussianModel.sufficient_stat
+    with_theta = _GaussianModel.with_theta
 
 
 def _check_wave(theta) -> np.ndarray:
@@ -456,6 +449,13 @@ def _special():
     return scipy.special
 
 
+def _check_unit(x) -> float:
+    x = float(x)
+    if not (0.0 <= x <= 1.0):  # also rejects NaN
+        raise SupportError(f"observation must lie in [0, 1], got {x!r}")
+    return x
+
+
 def _beta_logpdf(x: float, a: float, b: float) -> float:
     """Beta(a, b) log density at x in [0, 1], the bits of ``scipy.stats.beta.logpdf``.
 
@@ -496,19 +496,15 @@ class BetaWaveModel(ObservationModel):
     def _post_shape(self, lags):
         return self.a0 * np.asarray(wave_multiplier(self.theta, lags), dtype=float)
 
+    # the densities take the closed interval: -inf (or +inf for a shape
+    # below 1) is acceptable at the boundary
+
     def log_pre_density(self, x: float) -> float:
-        x = float(x)
-        if math.isnan(x) or x < 0.0 or x > 1.0:
-            raise SupportError(f"observation must lie in [0, 1], got {x!r}")
-        # -inf (or +inf for shape < 1) is acceptable at the boundary
-        return _beta_logpdf(x, self.a0, self.b0)
+        return _beta_logpdf(_check_unit(x), self.a0, self.b0)
 
     def log_post_density(self, x: float, n: int, k: int) -> float:
         lag = _check_times(n, k)
-        x = float(x)
-        if math.isnan(x) or x < 0.0 or x > 1.0:
-            raise SupportError(f"observation must lie in [0, 1], got {x!r}")
-        return _beta_logpdf(x, float(self._post_shape(lag)), self.b0)
+        return _beta_logpdf(_check_unit(x), float(self._post_shape(lag)), self.b0)
 
     def sufficient_stat(self, x: float) -> float:
         x = float(x)
