@@ -410,8 +410,11 @@ class SrStatistic(_LagBank):
 
     @property
     def value(self) -> float:
-        log_value = self.log_value
-        return math.exp(min(log_value, 709.0)) if log_value < math.inf else math.inf
+        """R_n itself: +inf where exp(log R_n) overflows a float."""
+        try:
+            return math.exp(self.log_value)
+        except OverflowError:
+            return math.inf
 
     def step(self, x: float) -> DetectorOutput:
         out = _LagBank.step(self, x)  # k_star from the max, as for CuSum

@@ -416,6 +416,20 @@ class TestSrStatistic:
         assert out.alarm
         assert out.statistic > 0.5
 
+    def test_value_past_log_709_is_not_capped(self):
+        sr = SrStatistic(ShiftModel(1.0))
+        out = sr.step(710.0)  # Z = 710 - 1/2
+        assert sr.log_value == 709.5
+        assert out.statistic == sr.value == math.exp(709.5)
+
+    def test_overflowing_value_is_inf_and_alarms(self):
+        sr = SrStatistic(GemModel(0.1, 1e4, 0.4), threshold=1e308)
+        assert not sr.step(1.0).alarm
+        out = sr.step(1e308)
+        assert sr.log_value > 1e302
+        assert out.statistic == sr.value == math.inf
+        assert out.alarm
+
     def test_one_logsumexp_per_step(self, monkeypatch):
         calls = []
 
