@@ -280,7 +280,7 @@ class _LagBank:
         s = self.model.sufficient_stat(x)  # raises off-support, state unchanged
         if self._hot or not abs(s) <= self._s_safe:
             self._hot = True
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # a NaN raises below
                 lam = self._advance(self._lam, s)
         else:
             lam = self._advance(self._lam, s)

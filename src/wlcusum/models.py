@@ -94,9 +94,12 @@ class ObservationModel:
 
     def log_likelihood_ratio(self, x: float, n: int, k: int) -> float:
         """log p1(x; n - k) - log p0(x) for an observation at time n >= k."""
-        lag = _check_times(n, k)
+        _check_times(n, k)
         self.sufficient_stat(x)  # reject out-of-support x before evaluating
-        return self.log_post_density(x, n, k) - self.log_pre_density(x)
+        llr = self.log_post_density(x, n, k) - self.log_pre_density(x)
+        if math.isnan(llr):  # both densities -inf: x is too far out to compare them
+            raise FloatingPointError(f"both densities underflow to -inf at x={x!r}")
+        return llr
 
     # -- affine representation used by detectors ---------------------------
 
@@ -231,7 +234,8 @@ class ObservationModel:
 
 
 def _norm_logpdf(x: float, mean: float, var: float) -> float:
-    return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+    d = x - mean  # d * d is +inf where it overflows; d ** 2 would raise
+    return -0.5 * math.log(2.0 * math.pi * var) - d * d / (2.0 * var)
 
 
 def _check_real(x) -> float:

@@ -1,6 +1,7 @@
 """Observation models: densities, LLR coefficients, moments, sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -417,3 +418,23 @@ def test_gem_moments_at_pinned_lags_are_inf():
     assert np.all(model.expected_llr_lags(np.array([900, 2000])) == math.inf)
     assert model.expected_llr_mismatch(900, 905) == math.inf
     assert model.expected_llr_mismatch(905, 900) == -math.inf
+
+
+def test_gem_density_llr_never_nan_at_any_lag():
+    """The squared distance overflows from lag 895 at x = 1 and the mean itself
+    from lag 1,775: the density LLR goes to -inf, as llr_terms pins it."""
+    model = GemModel(0.1, 1e4, 0.4)
+    llrs = np.array([model.log_likelihood_ratio(1.0, lag + 1, 1) for lag in range(2001)])
+    assert np.all(np.isfinite(llrs) | np.isneginf(llrs))
+    assert llrs[2000] == -math.inf
+    _, intercepts = model.llr_terms(np.array([2000]))
+    assert intercepts[0] == -math.inf
+
+
+@pytest.mark.parametrize("x", [1e155, -1e308, 1e308])
+def test_gaussian_densities_underflow_to_minus_inf(x):
+    for model in (GemModel(0.1, 1e4, 0.4), DecayModel(2.0, 4.0, 0.2)):
+        assert model.log_pre_density(x) == -math.inf
+        assert model.log_post_density(x, 3, 1) == -math.inf
+        with pytest.raises(FloatingPointError, match=re.escape(repr(x))):
+            model.log_likelihood_ratio(x, 3, 1)
