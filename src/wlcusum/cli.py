@@ -46,6 +46,7 @@ from .epidata import (
 from .growth import GrowthCurve, check_growth_condition, lemma1_diagnostics
 from .models import _MODEL_KINDS, build_model
 from .montecarlo import (
+    _DETECTOR_KINDS,
     TrialPlan,
     estimate_add,
     estimate_mtfa,
@@ -490,8 +491,7 @@ def _add_model_flags(parser):
 
 def _add_detector_flags(parser, *, include_alpha=True):
     group = parser.add_argument_group("detector")
-    group.add_argument("--detector", default="wl-cusum",
-                       choices=["wl-cusum", "full-cusum", "wl-glr"])
+    group.add_argument("--detector", default="wl-cusum", choices=_DETECTOR_KINDS)
     group.add_argument("--window", type=int,
                        help="window size m (default: sized from the growth curve)")
     if include_alpha:

@@ -383,7 +383,7 @@ class WlGlr(_LagBank):
         self.grid = grid
         # theta_hat as a float or a tuple of floats, without a numpy row per step
         points = grid.tolist()
-        self._points = points if grid.ndim == 1 else [tuple(p) for p in points]
+        self._points = points if grid.ndim == 1 else list(map(tuple, points))
         super().__init__(model, threshold, int(window), grid)
 
     step = _LagBank.step
