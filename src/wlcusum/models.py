@@ -97,8 +97,8 @@ class ObservationModel:
         _check_times(n, k)
         self.sufficient_stat(x)  # reject out-of-support x before evaluating
         llr = self.log_post_density(x, n, k) - self.log_pre_density(x)
-        if math.isnan(llr):  # both densities -inf: x is too far out to compare them
-            raise FloatingPointError(f"both densities underflow to -inf at x={x!r}")
+        if math.isnan(llr):  # -inf - -inf: x is too far out to compare the densities
+            raise FloatingPointError(f"both log densities are -inf at x={x!r}")
         return llr
 
     # -- affine representation used by detectors ---------------------------
@@ -251,7 +251,8 @@ class _GaussianModel(ObservationModel):
 
     A subclass names its pre-change mean ``_pre_mean`` and its variance
     ``_var``, and gives the path as ``_post_mean(lags)`` and the affine LLR
-    as ``llr_terms``; the densities, samplers and moments are these.
+    as ``llr_terms``; the densities, samplers, moments and ``with_theta``
+    are the ones here.
     """
 
     def log_pre_density(self, x: float) -> float:
@@ -454,6 +455,8 @@ def _special():
 
 
 def _check_unit(x) -> float:
+    """x as a float in the closed [0, 1], where a Beta density is defined: at
+    the boundary it is -inf, or +inf for a shape below 1."""
     x = float(x)
     if not (0.0 <= x <= 1.0):  # also rejects NaN
         raise SupportError(f"observation must lie in [0, 1], got {x!r}")
@@ -499,9 +502,6 @@ class BetaWaveModel(ObservationModel):
 
     def _post_shape(self, lags):
         return self.a0 * np.asarray(wave_multiplier(self.theta, lags), dtype=float)
-
-    # the densities take the closed interval: -inf (or +inf for a shape
-    # below 1) is acceptable at the boundary
 
     def log_pre_density(self, x: float) -> float:
         return _beta_logpdf(_check_unit(x), self.a0, self.b0)
