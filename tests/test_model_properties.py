@@ -2,6 +2,7 @@
 or +inf and every density a float or -inf, for any x a model accepts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def test_every_density_is_a_float_or_minus_inf(stream, lag):
             assert isinstance(value, float)
             assert math.isfinite(value) or value == -math.inf
         if values == [-math.inf, -math.inf]:
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(FloatingPointError, match=re.escape(repr(x))):
                 model.log_likelihood_ratio(x, lag + 1, 1)
         else:
             assert not math.isnan(model.log_likelihood_ratio(x, lag + 1, 1))

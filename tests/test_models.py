@@ -1,7 +1,6 @@
 """Observation models: densities, LLR coefficients, moments, sampling."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -421,7 +420,7 @@ def test_gem_moments_at_pinned_lags_are_inf():
 
 
 def test_gem_density_llr_never_nan_at_any_lag():
-    """The squared distance overflows from lag 895 at x = 1 and the mean itself
+    """The squared distance overflows from lag 893 at x = 1 and the mean itself
     from lag 1,775: the density LLR goes to -inf, as llr_terms pins it."""
     model = GemModel(0.1, 1e4, 0.4)
     llrs = np.array([model.log_likelihood_ratio(1.0, lag + 1, 1) for lag in range(2001)])
@@ -430,11 +429,3 @@ def test_gem_density_llr_never_nan_at_any_lag():
     _, intercepts = model.llr_terms(np.array([2000]))
     assert intercepts[0] == -math.inf
 
-
-@pytest.mark.parametrize("x", [1e155, -1e308, 1e308])
-def test_gaussian_densities_underflow_to_minus_inf(x):
-    for model in (GemModel(0.1, 1e4, 0.4), DecayModel(2.0, 4.0, 0.2)):
-        assert model.log_pre_density(x) == -math.inf
-        assert model.log_post_density(x, 3, 1) == -math.inf
-        with pytest.raises(FloatingPointError, match=re.escape(repr(x))):
-            model.log_likelihood_ratio(x, 3, 1)
