@@ -1,19 +1,17 @@
 """Monte-Carlo evaluation: false-alarm and delay estimation for detectors.
 
-The trials of a chunk run in lockstep on one (lags, trials[, grid]) bank of
-all live trials, laid out as a detector's own (lags, 1[, grid]) bank. A
-window-limited bank with no grid and at most _SCAN_CAP lags (a full-history
-one too, once its cap stops at a dead lag that small) advances through up to
-B = _SCAN_STEPS already drawn steps per ``_LagBank._scan`` call, with no
-Python loop per step; on GEM with m = 23 that runs about 3x the trials per
-second of one step per call. Every other bank takes ``_advance``, the update
-a detector's own step applies, once per step: a block with a grid axis was
-0.29-0.65x as fast on the oc-glr-gem plans (G = 50, trials of about 22
-steps), and a block's cap * (cap + B) work gained nothing at m = 200 and
-lost at m = 255. Both advances share one block loop for draws, support
-checks, NaN naming, alarms and censoring. An alarmed trial leaves the batch
-at the end of the advance, and the ones still live at the step cap are
-censored there. Worker processes only split the trial range into chunks.
+The trials of a chunk run in lockstep batches. A ``_Batch`` walks one
+(lags, trials[, grid]) bank of its live trials, laid out as a detector's own
+(lags, 1[, grid]) bank: it draws 512-step blocks and advances through them.
+A window-limited bank with no grid and at most _SCAN_CAP lags (a
+full-history one too, once its cap stops at a dead lag that small) advances
+through up to B = _SCAN_STEPS drawn steps per ``_LagBank._scan`` call, with
+no Python loop per step; on GEM with m = 23 that runs about 3x the trials
+per second of one step per call. Every other bank takes ``_advance``, the
+update a detector's own step applies, once per step: a block with a grid
+axis was 0.29-0.65x as fast on the oc-glr-gem plans (G = 50, trials of about
+22 steps), and a block's cap * (cap + B) work gained nothing at m = 200 and
+lost at m = 255. Worker processes only split the trial range into chunks.
 
 An operating characteristic is one such run for the whole curve. An entry
 lambda_{n,k} depends on neither the window nor the threshold, so the bank of
@@ -21,10 +19,12 @@ the widest window holds, bit for bit, every narrower window's entries in its
 newest m + 1 lags. Each alpha is an operating point, a row of a table built
 once per batch: its threshold, step cap and maxima column. Every advance
 takes one max per column over the column's newest span lags, the whole bank
-last, and each point reads its own column. A trial stays in the batch until
-every point has alarmed on it or reached its cap, and a point leaves once
-no live trial waits on it. ``run_trials`` is the one-point case of the same
-run.
+last, and each point reads its own column. ``_lockstep`` keeps the point
+books: one floor per (point, live trial), which turns NaN once the point
+has alarmed on that trial or reached its cap, and which no max meets. It
+names NaN maxima, records alarms and censoring, drops a trial once all its
+floors are NaN, and a point once no live trial waits on it.
+``run_trials`` is the one-point case of the same run.
 
 Trial i draws its observations from a dedicated RNG substream keyed by
 (master seed, i), in 512-step blocks, exactly as it would running alone, and
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,6 +73,7 @@ _SCAN_STEPS = 256
 _SCAN_CAP = 128
 _SCAN_ENTRIES = 2**21
 _MAX_DEFAULT_STEPS = 10_000_000
+_COOL = nullcontext()  # in place of np.errstate while a batch is not hot
 
 _DETECTOR_KINDS = ("wl-cusum", "full-cusum", "wl-glr")
 
@@ -113,26 +115,21 @@ class TrialPlan:
         if int(self.workers) < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
-    def resolved_max_steps(self) -> int:
-        return _step_cap(self)
-
-
-def _step_cap(plan: TrialPlan, curve: GrowthCurve | None = None) -> int:
-    """plan.resolved_max_steps(), reading g^{-1}(b) off curve, a GrowthCurve of
-    plan.model, when one is given instead of building a new one."""
-    if plan.max_steps is not None:
-        steps = int(plan.max_steps)
-        if steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {steps}")
-        return steps
-    b = float(plan.threshold)
-    if math.isinf(plan.nu):
-        budget = 50.0 * math.exp(min(b, 30.0))
-        return int(min(max(budget, 50.0), _MAX_DEFAULT_STEPS))
-    horizon = 0.0
-    if b > 0.0:
-        horizon = (curve if curve is not None else GrowthCurve(plan.model)).growth_inverse(b)
-    return int(plan.nu) - 1 + int(min(max(100.0 * horizon, 50.0), _MAX_DEFAULT_STEPS))
+    def resolved_max_steps(self, curve: GrowthCurve | None = None) -> int:
+        """The step cap; curve, a GrowthCurve of the model, serves g^{-1}(b) when given."""
+        if self.max_steps is not None:
+            steps = int(self.max_steps)
+            if steps < 1:
+                raise ValueError(f"max_steps must be >= 1, got {steps}")
+            return steps
+        b = float(self.threshold)
+        if math.isinf(self.nu):
+            budget = 50.0 * math.exp(min(b, 30.0))
+            return int(min(max(budget, 50.0), _MAX_DEFAULT_STEPS))
+        horizon = 0.0
+        if b > 0.0:
+            horizon = (curve if curve is not None else GrowthCurve(self.model)).growth_inverse(b)
+        return int(self.nu) - 1 + int(min(max(100.0 * horizon, 50.0), _MAX_DEFAULT_STEPS))
 
 
 def _build_detector(plan: TrialPlan):
@@ -143,202 +140,203 @@ def _build_detector(plan: TrialPlan):
     return WlGlr(plan.model, plan.threshold, plan.window, plan.grid)
 
 
-def _scans(detector, trials: int) -> bool:
-    """Whether a batch of this many trials advances by ``_LagBank._scan``.
+class _Batch:
+    """Trials walking one (L, T[, G]) bank together, a sub-block or a step per advance.
 
-    Only a bank with no grid and a fixed cap of at most _SCAN_CAP lags, and
-    only while one sub-block fits _SCAN_ENTRIES. A full-history bank joins
-    once its cap stops at a dead lag that small.
+    Column r of the bank, entry r of rngs and column rows[r] of the block
+    belong to trial live[r] (0 is the batch's first trial). Blocks of up to
+    _STREAM_BLOCK steps are drawn only when the last one is used up and only
+    for live trials, exactly as one trial running alone draws them. An
+    advance scans while the live trials' scan block fits _SCAN_ENTRIES and
+    steps otherwise. A sub-block ends before any row with a non-finite
+    statistic, which one step feeds through the model's scalar hook: only a
+    trial that consumes an off-support draw raises SupportError.
     """
-    cap = detector._cap
-    return (not detector._shape and not detector._grows and cap <= _SCAN_CAP
-            and cap * (cap + _SCAN_STEPS) * trials <= _SCAN_ENTRIES)
+
+    def __init__(self, detector, plan: TrialPlan, start: int, stop: int, max_steps: int, narrow):
+        self.detector, self.model, self.nu = detector, plan.model, plan.nu
+        self.max_steps, self.narrow = max_steps, narrow  # narrow: the spans below cap
+        self.live = np.arange(stop - start)
+        self.rngs = [np.random.default_rng([plan.seed, i]) for i in range(start, stop)]
+        self.lams = np.empty((0, stop - start, *detector._shape))
+        self.done = self.j = 0  # steps done; row j of the block is the next step
+        self.checked = ()  # rows whose statistics are all finite: no block drawn yet
+        self.hot = False  # as in _LagBank.step, against the block's largest |s|
+
+    @staticmethod
+    def scan_entries(detector) -> int:
+        """Entries per trial of a scan block, 0 for a bank that steps: one with a
+        grid, or a cap above _SCAN_CAP or still growing (a full-history bank
+        joins once its cap stops at a dead lag that small)."""
+        cap = detector._cap
+        if detector._shape or detector._grows or cap > _SCAN_CAP:
+            return 0
+        return cap * (cap + _SCAN_STEPS)
+
+    def _draw(self):
+        model, n = self.model, self.done
+        k = min(_STREAM_BLOCK, self.max_steps - n)
+        # (k, T): row j holds step n + 1 + j; the old block goes first, so one is held at a time
+        self.block = self.stats = None
+        self.block = block = np.empty((k, len(self.rngs)))
+        for r, rng in enumerate(self.rngs):
+            block[:, r] = model.sample_segment(rng, self.nu, n + 1, k)
+        self.stats = stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
+        finite = np.isfinite(stats)
+        if finite.all():  # as a rule: then no masked copy of the block
+            self.checked = np.ones(k, dtype=bool)
+            self.s_top = max(stats.max(), -stats.min())
+        else:
+            self.checked = finite.all(axis=1)
+            self.s_top = np.abs(stats[finite]).max(initial=0.0)  # only a finite s can overflow
+        self.rows, self.j = np.arange(len(self.live)), 0
+
+    def advance(self, floor: float):
+        """Advance every live trial by one scan or one step: (the top bank max, the
+        (R, C, T) maxima of its R steps, one per column), the maxima None for one
+        step whose top is below floor."""
+        if self.j == len(self.checked):
+            self._draw()
+        detector, j, checked = self.detector, self.j, self.checked
+        # the bound falls when a full-history bank grows mid-block, so compare every advance
+        self.hot = self.hot or not self.s_top <= detector._s_safe
+        # invalid too: a trial that alarmed in a scan steps on to the block's end, where
+        # inf - inf may meet; a NaN that some point still reads raises in _lockstep
+        with np.errstate(over="ignore", invalid="ignore") if self.hot else _COOL:
+            entries = self.scan_entries(detector)
+            if 0 < entries * len(self.live) <= _SCAN_ENTRIES and checked[j]:
+                e = min(j + _SCAN_STEPS, len(checked))
+                if not checked[j:e].all():
+                    e = j + int(checked[j:e].argmin())
+                maxima, self.lams = detector._scan(self.lams, self.stats[j:e, self.rows],
+                                                   self.narrow)
+                top = maxima.max()
+            else:
+                e, s = j + 1, self.stats[j][self.rows]
+                if not checked[j]:
+                    # off the support or a true infinity: the scalar hook decides, as a step would
+                    s = np.array([v if math.isfinite(v) else self.model.sufficient_stat(x)
+                                  for x, v in zip(self.block[j][self.rows], s)])
+                grid = bool(detector._shape)  # then one statistic per trial is broadcast over it
+                self.lams = lams = detector._advance(self.lams, s[:, None] if grid else s)
+                top, maxima = lams.max(), None
+                if not top < floor:
+                    bank = lams.max(axis=2) if grid else lams
+                    maxima = np.empty((1, len(self.narrow) + 1, len(self.live)))
+                    # the whole bank is the last column: a full-history bank outgrows its first cap
+                    bank.max(axis=0, out=maxima[0, -1])
+                    for span, column in zip(self.narrow, maxima[0]):
+                        bank[-span:].max(axis=0, out=column)
+        self.j, self.done = e, self.done + e - j
+        return top, maxima
+
+    def keep(self, stay: np.ndarray):
+        """Drop the live trials where stay is False."""
+        self.live, self.lams, self.rows = self.live[stay], self.lams[:, stay], self.rows[stay]
+        self.rngs = [rng for rng, on in zip(self.rngs, stay) if on]
 
 
-def _lockstep(detector, plans: list[TrialPlan], start: int, stop: int, caps: list[int]):
-    """Trials start .. stop - 1 run together for every plan, a sub-block or a step at a time.
+def _lockstep(detector, plans: list[TrialPlan], caps: list[int], start: int, times, censored):
+    """Trials start .. start + T - 1 run together for every plan; row p of the (P, T)
+    times and censored, which hold the caps and True, gets plans[p]'s alarms.
 
     The plans are operating points: they differ only in threshold, window and
-    step cap (caps), and detector is built from the widest window. Column r
-    of the (L, T[, G]) bank and entry r of the RNG list belong to trial
-    live[r]. A point table, built once, holds each point's floor, cap and
-    maxima column: the columns are the points' spans min(window + 1, cap)
-    below cap, ascending, then the whole bank, and a span's newest lags hold
-    bit for bit the bank of its window. Each advance, a ``_scan`` of up to
-    _SCAN_STEPS steps or one ``_advance``, gives every live trial one max per
-    column after each of its steps. A trial alarms for a point at its first
-    step, up to the point's cap, with max(0, that max) >= b; a point still
-    waiting at its cap is censored there. A trial leaves the batch when the
-    advance ends in which its last point alarmed or reached its cap, and a
-    point leaves when no live trial waits on it (ids drops its table row),
-    so a strict point's long trials pay for no finished point's checks.
-    Blocks are drawn only at block boundaries and only for live trials,
-    exactly as one trial running alone draws them, so every trial sees the
-    observations it would see alone. A sub-block ends before any row with a
-    non-finite statistic, which one step feeds through the model's scalar
-    hook: only a trial that consumes an off-support draw, at a step some
-    point still needs, raises SupportError. Grid banks, full-history banks
-    that still grow and caps above _SCAN_CAP take one ``_advance`` per step.
+    step cap (caps), and detector is built from the widest window. A point
+    table, built once, holds each point's floor, cap and maxima column: the
+    columns are the points' spans min(window + 1, cap) below cap, ascending,
+    then the whole bank, and a span's newest lags hold bit for bit the bank
+    of its window. A trial alarms for a point at its first step, up to the
+    point's cap, with max(0, that max) >= b; a point still waiting at its
+    cap is censored there. The books hold one floor per (point, live trial),
+    NaN once the point has alarmed on that trial or reached its cap, so no
+    max meets it. A trial leaves the batch when the advance ends in which its
+    last floor turned NaN, and a point leaves once every floor of it has
+    (ids drops its table row), so a strict point's long trials pay for no
+    finished point's checks.
     """
-    model, cap = plans[0].model, detector._cap
+    cap = detector._cap
     # a statistic is 0 when every hypothesis is negative, so max(0, max) >= b is
     # max >= floor: only the max can stop a trial when b > 0, and all but a NaN does when b <= 0
-    floors = np.array([[-math.inf if p.threshold <= 0.0 else float(p.threshold)] for p in plans])
+    table = np.array([-math.inf if p.threshold <= 0.0 else float(p.threshold) for p in plans])
     spans = [cap if p.window is None else min(p.window + 1, cap) for p in plans]
     narrow = sorted({s for s in spans if s < cap})
     columns = np.array([len(narrow) if s == cap else narrow.index(s) for s in spans])
-    max_steps, caps = max(caps), np.array(caps)
-    times = np.empty((len(plans), stop - start), dtype=np.int64)
-    times[:] = caps[:, None]
-    censored = np.ones(times.shape, dtype=bool)
+    caps = np.array(caps)
+    batch = _Batch(detector, plans[0], start, start + times.shape[1], int(caps.max()), narrow)
     ids = np.arange(len(plans))  # the points some live trial waits on
-    # (point of ids, live trial): neither alarmed nor at its cap; None while one
-    # point is left, as then every live trial waits on it
-    pending = None if len(plans) == 1 else censored.copy()
-    # the table rows of ids; which is None while the points are the columns
-    point_floors, point_caps = floors, caps
-    floor, next_cap = point_floors.min(), point_caps.min()
+    floors = np.repeat(table[:, None], times.shape[1], axis=1)  # (point of ids, live trial)
+    # caps and floor of the table rows of ids; which is None while the points are the columns
+    point_caps, floor, next_cap = caps, table.min(), caps.min()
     which = None if columns.tolist() == [*range(len(narrow) + 1)] else columns
-    live = np.arange(stop - start)
-    rngs = [np.random.default_rng([plans[0].seed, i]) for i in range(start, stop)]
-    lams = np.empty((0, len(live), *detector._shape))
-    grid = bool(detector._shape)  # then one statistic per trial is broadcast over it
-    hot = False  # as in _LagBank.step, against the block's largest |s|
-
-    def advance(j: int):
-        """Steps j .. e - 1 of the block: (e, the top bank max, each step's (e - j, C, T)
-        maxima, one per column), the maxima None for one step whose top is below the floor."""
-        nonlocal lams
-        if _scans(detector, len(live)) and checked[j]:
-            e = min(j + _SCAN_STEPS, len(checked))
-            if not checked[j:e].all():
-                e = j + int(checked[j:e].argmin())
-            maxima, lams = detector._scan(lams, stats[j:e, rows], narrow)
-            return e, maxima.max(), maxima
-        s = stats[j][rows]
-        if not checked[j]:
-            # off the support or a genuine infinity: the scalar hook decides, as a step would
-            s = np.array([v if math.isfinite(v) else model.sufficient_stat(x)
-                          for x, v in zip(block[j][rows], s)])
-        lams = detector._advance(lams, s[:, None] if grid else s)
-        top = lams.max()
-        if top < floor:
-            return j + 1, top, None
-        bank = lams.max(axis=2) if grid else lams
-        maxima = np.empty((len(narrow) + 1, len(live)))
-        # the whole bank is the last column: a full-history bank outgrows its first cap
-        bank.max(axis=0, out=maxima[-1])
-        for span, column in zip(narrow, maxima):
-            bank[-span:].max(axis=0, out=column)
-        return j + 1, top, maxima[None]
-
-    for n in range(0, max_steps, _STREAM_BLOCK):  # n steps done before the block
-        k = min(_STREAM_BLOCK, max_steps - n)
-        # (k, T): row j holds step n + 1 + j of every trial live at the boundary;
-        # the old block goes first, so at most one is held at a time
-        block = stats = None
-        block = np.empty((k, len(rngs)))
-        for r, rng in enumerate(rngs):
-            block[:, r] = model.sample_segment(rng, plans[0].nu, n + 1, k)
-        stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
-        finite = np.isfinite(stats)
-        if finite.all():  # as a rule: then no masked copy of the block
-            checked = np.ones(k, dtype=bool)
-            s_top = max(stats.max(), -stats.min())
-        else:
-            checked = finite.all(axis=1)
-            s_top = np.abs(stats[finite]).max(initial=0.0)  # only a finite s can overflow
-        rows = np.arange(len(live))  # block column of each live trial
-        j = 0
-        while j < k:
-            # the bound falls when a full-history bank grows mid-block, so compare every advance
-            hot = hot or not s_top <= detector._s_safe
-            if hot:
-                # invalid too: a trial that alarmed in a scan steps on to the block's end,
-                # where inf - inf may meet; a live trial's NaN still raises below
-                with np.errstate(over="ignore", invalid="ignore"):
-                    e, top, maxima = advance(j)
-            else:
-                e, top, maxima = advance(j)
-            j, before = e, n + j  # steps done before the advance
-            left = False  # whether a trial or a point may have finished
-            if not top < floor:  # a NaN top goes on
-                if which is not None:
-                    maxima = maxima[:, which]  # (rows, points, T)
-                raised, in_cap = maxima >= point_floors, True
-                if next_cap < n + j:  # rows past a point's cap do not count for it
-                    in_cap = np.arange(len(maxima))[:, None, None] < (point_caps - before)[:, None]
-                    raised &= in_cap
-                alarm = raised[0] if len(raised) == 1 else np.logical_or.reduce(raised)
-                if pending is not None:
-                    alarm = alarm & pending
-                if math.isnan(top):
-                    # a NaN counts for a point up to its alarm: past it that point is done
-                    before_alarm = np.arange(len(maxima))[:, None, None] < raised.argmax(axis=0)
-                    nan = np.isnan(maxima) & in_cap & (~alarm | before_alarm)
-                    if pending is not None:
-                        nan &= pending
-                    if nan.any():
-                        r = int(nan.any(axis=(1, 2)).argmax())
-                        bad = int(live[nan[r].any(axis=0)][0]) + start
-                        raise FloatingPointError(
-                            f"NaN in the hypothesis bank of trial {bad} at step {before + r + 1}")
-                point, col = alarm.nonzero()
-                if len(col):
-                    # one step's row is its alarm row; a scan's point alarms at its first raised row
-                    ends = before + 1
-                    if len(raised) > 1:
-                        ends = ends + raised.argmax(axis=0)[point, col]
-                    if pending is not None:
-                        pending ^= alarm  # alarm holds only pending points
-                    if len(ids) < len(plans):
-                        point = ids[point]
-                    hit = live[col]
-                    times[point, hit], censored[point, hit] = ends, False
-                    left = True
-            if n + j >= next_cap:
-                if pending is None:  # the last point's cap: its live trials are censored
-                    return times, censored
-                pending &= (point_caps > n + j)[:, None]
+    while True:
+        before = batch.done
+        top, maxima = batch.advance(floor)
+        left = False  # whether a floor turned NaN
+        if not top < floor:  # a NaN top goes on
+            if which is not None:
+                maxima = maxima[:, which]  # (rows, points, T)
+            # one point: every live trial waits on it, and one floor compares fastest
+            raised, in_cap = maxima >= (floors if len(ids) > 1 else floors[:, :1]), True
+            if next_cap < batch.done:  # rows past a point's cap do not count for it
+                in_cap = np.arange(len(maxima))[:, None, None] < (point_caps - before)[:, None]
+                raised &= in_cap
+            alarm = raised[0] if len(raised) == 1 else np.logical_or.reduce(raised)
+            if math.isnan(top):
+                # a NaN counts for a point that waits on the trial, up to its alarm
+                before_alarm = np.arange(len(maxima))[:, None, None] < raised.argmax(axis=0)
+                nan = np.isnan(maxima) & in_cap & (~alarm | before_alarm) & (floors == floors)
+                if nan.any():
+                    r = int(nan.any(axis=(1, 2)).argmax())
+                    bad = int(batch.live[nan[r].any(axis=0)][0]) + start
+                    raise FloatingPointError(
+                        f"NaN in the hypothesis bank of trial {bad} at step {before + r + 1}")
+            point, col = alarm.nonzero()
+            if len(col):
+                # one step's row is its alarm row; a scan's point alarms at its first raised row
+                ends = before + 1
+                if len(raised) > 1:
+                    ends = ends + raised.argmax(axis=0)[point, col]
+                floors[alarm] = math.nan
+                if len(ids) < len(plans):
+                    point = ids[point]
+                hit = batch.live[col]
+                times[point, hit], censored[point, hit] = ends, False
                 left = True
-            if left:
-                stay = ~alarm[0] if pending is None else np.logical_or.reduce(pending)
-                kept = np.count_nonzero(stay)
-                if not kept:
-                    return times, censored
-                if kept < len(stay):
-                    live, lams, rows = live[stay], lams[:, stay], rows[stay]
-                    rngs = [rng for rng, on in zip(rngs, stay) if on]
-                    if pending is not None:
-                        pending = pending[:, stay]
-                if pending is not None:
-                    waits = np.logical_or.reduce(pending, axis=1)
-                    if not waits.all():
-                        ids, pending = ids[waits], pending[waits]
-                        if len(ids) == 1:
-                            pending = None
-                        point_floors, point_caps, which = floors[ids], caps[ids], columns[ids]
-                        floor, next_cap = point_floors.min(), point_caps.min()
-    return times, censored
+        if batch.done >= next_cap:  # a point still waiting at its cap is censored there
+            floors[point_caps <= batch.done] = math.nan
+            left = True
+        if left:
+            waits = floors == floors  # not NaN: the point waits on the trial
+            stay = waits[0] if len(ids) == 1 else np.logical_or.reduce(waits)
+            kept = np.count_nonzero(stay)
+            if not kept:
+                return
+            if kept < len(stay):
+                batch.keep(stay)
+                floors = floors[:, stay]
+            if len(ids) > 1:
+                waits = np.logical_or.reduce(waits, axis=1)  # a trial that left waits on none
+                if not waits.all():
+                    ids, floors = ids[waits], floors[waits]
+                    point_caps, which = caps[ids], columns[ids]
+                    floor, next_cap = table[ids].min(), point_caps.min()
 
 
 def _run_chunk(plans: list[TrialPlan], start: int, stop: int, caps: list[int]):
     times = np.empty((len(plans), stop - start), dtype=np.int64)
-    censored = np.empty((len(plans), stop - start), dtype=bool)
+    times.T[:] = caps
+    censored = np.ones(times.shape, dtype=bool)
     # one detector for every point, its coefficient tables for every batch: the
     # widest window's bank holds each narrower one's entries, bit for bit
     detector = _build_detector(max(plans, key=lambda p: p.window or 0))
-    cap = detector._cap
-    if _scans(detector, 1):
-        size = _SCAN_ENTRIES // (cap * (cap + _SCAN_STEPS))
-    else:
-        # entries per trial at the start; full-history banks grow on
-        size = _BATCH_ENTRIES // (cap * math.prod(detector._shape))
-    size = max(1, min(_BATCH_TRIALS, size))
-    for lo in range(start, stop, size):
-        hi = min(lo + size, stop)
-        times[:, lo - start : hi - start], censored[:, lo - start : hi - start] = _lockstep(
-            detector, plans, lo, hi, caps)
+    entries, room = _Batch.scan_entries(detector), _SCAN_ENTRIES
+    if not 0 < entries <= room:
+        # it steps: its entries per trial at the start; full-history banks grow on
+        entries, room = detector._cap * math.prod(detector._shape), _BATCH_ENTRIES
+    size = max(1, min(_BATCH_TRIALS, room // entries))
+    for lo in range(0, stop - start, size):
+        hi = min(lo + size, stop - start)
+        _lockstep(detector, plans, caps, start + lo, times[:, lo:hi], censored[:, lo:hi])
     return times, censored
 
 
@@ -355,7 +353,7 @@ def _run(plans: list[TrialPlan], curve: GrowthCurve | None = None):
                 f"{plan.detector} needs a window before trials can run; "
                 "window=None is only a placeholder for per-alpha sizing"
             )
-    caps = [_step_cap(plan, curve) for plan in plans]
+    caps = [plan.resolved_max_steps(curve) for plan in plans]
     n = int(plans[0].num_trials)
     # one chunk per worker: a lockstep batch pays its per-step cost until its
     # longest trial ends, so fewer, larger batches do less work in total

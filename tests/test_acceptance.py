@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks, one printed verdict line each.
+"""Acceptance gate: end-to-end checks, one printed verdict line each.
 
 Each test prints `[A#] PASS ...` or `[A#] FAIL ...` with the measured
 numbers (visible under plain pytest runs), then asserts. Tolerances are
@@ -223,3 +223,21 @@ def test_a10_epidemic_pipeline(capsys):
     _report(capsys, "A10", ok,
             f"detection within 30 days in {caught:.1%} of runs (need >= 90%); "
             f"200-day false-alarm rate {false_rate:.3f} <= 0.6")
+
+
+def test_a12_glr_false_alarm_bound(capsys):
+    # the WL-GLR threshold from alpha, the box volume, its dimension and epsilon
+    # promises a mean time to false alarm of at least 1/alpha
+    alpha = 0.1
+    plan = TrialPlan(
+        model=GEM, detector="wl-glr", threshold=glr_threshold(alpha, 0.5, 1, 5.5),
+        window=window_size(GrowthCurve(GEM), alpha), grid=theta_grid((0.0, 0.5), 50),
+        num_trials=50, seed=12, max_steps=2000,
+    )
+    with pytest.warns(RuntimeWarning, match="45 of 50 false-alarm trials hit the step cap"):
+        est = estimate_mtfa(plan)  # censored trials count at the cap: a lower bound
+    floor = 1.0 / alpha + 3.0 * est.stderr
+    ok = est.mean >= floor
+    _report(capsys, "A12", ok,
+            f"MTFA {est.mean:.0f} (stderr {est.stderr:.0f}) >= 1/alpha + 3 stderr {floor:.0f}; "
+            f"MTFA * alpha {est.mean * alpha:.0f} (b {plan.threshold:.2f}, m {plan.window})")

@@ -244,11 +244,23 @@ class TestLockstepMatchesStreaming:
         np.testing.assert_array_equal(censored, want_censored)
         assert len(set(times.tolist())) > 1 or plan.threshold <= 0 or censored.all()
 
-    def test_batch_size_does_not_change_results(self, monkeypatch):
-        plan = _plan(nu=math.inf, window=23, threshold=math.log(100), num_trials=20)
-        whole = run_trials(plan)
+    @pytest.mark.parametrize("plans", [
+        [_plan(nu=math.inf, window=23, threshold=math.log(100), num_trials=20)],
+        # the grid path: one step at a time
+        [_plan(nu=math.inf, detector="wl-glr", grid=np.linspace(0.1, 0.5, 5), window=23,
+               threshold=math.log(300), num_trials=12)],
+        # the first sub-batch grows the shared tables past 64 lags for the next ones
+        [_plan(nu=math.inf, model=DecayModel(2.0, 4.0, 0.2), detector="full-cusum",
+               window=None, threshold=math.log(100), num_trials=12)],
+        # three points, each with its own window or step cap
+        [_plan(nu=math.inf, window=23, threshold=math.log(100), num_trials=12, max_steps=300),
+         _plan(nu=math.inf, window=23, threshold=math.log(100), num_trials=12, max_steps=30),
+         _plan(nu=math.inf, window=5, threshold=math.log(50), num_trials=12, max_steps=45)],
+    ], ids=["scan", "grid", "full-cusum-grows", "three-points"])
+    def test_batch_size_does_not_change_results(self, monkeypatch, plans):
+        whole = montecarlo._run(plans)
         monkeypatch.setattr(montecarlo, "_BATCH_TRIALS", 3)
-        split = run_trials(plan)
+        split = montecarlo._run(plans)
         np.testing.assert_array_equal(whole[0], split[0])
         np.testing.assert_array_equal(whole[1], split[1])
 
