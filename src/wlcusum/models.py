@@ -325,8 +325,14 @@ class GemModel(_GaussianModel):
     _var = property(lambda self: self.sigma0_sq)
 
     def _post_mean(self, lags):
+        lags = np.asarray(lags, dtype=float)
+        # errstate costs more than a short block's exp: enter it only where e^{theta l} or
+        # mu0 e^{theta l} can pass e^709 (Python floats: a NaN lag or an inf product goes there)
+        top = float(self.theta) * float(np.maximum.reduce(lags, axis=None, initial=0.0))
+        if top < 709.0 - max(math.log(self.mu0), 0.0):
+            return self.mu0 * np.exp(self.theta * lags)
         with np.errstate(over="ignore"):  # +inf once e^{theta l} overflows
-            return self.mu0 * np.exp(self.theta * np.asarray(lags, dtype=float))
+            return self.mu0 * np.exp(self.theta * lags)
 
     def llr_terms(self, lags):
         lags = np.asarray(lags, dtype=float)

@@ -2,7 +2,10 @@
 
 The trials of a chunk run in lockstep batches. A ``_Batch`` walks one
 (lags, trials[, grid]) bank of its live trials, laid out as a detector's own
-(lags, 1[, grid]) bank: it draws 512-step blocks and advances through them.
+(lags, 1[, grid]) bank: it draws blocks and advances through them. A
+false-alarm run draws 512 steps a block; a delay run (finite nu) first draws
+the least power of two of at least nu - 1 + 32 steps, then doubles each block
+up to 512, so a trial that alarms soon after the change draws little past it.
 A window-limited bank with no grid and at most _SCAN_CAP lags (a
 full-history one too, once its cap stops at a dead lag that small) advances
 through up to B = _SCAN_STEPS drawn steps per ``_LagBank._scan`` call, with
@@ -18,16 +21,18 @@ lambda_{n,k} depends on neither the window nor the threshold, so the bank of
 the widest window holds, bit for bit, every narrower window's entries in its
 newest m + 1 lags. Each alpha is an operating point, a row of a table built
 once per batch: its threshold, step cap and maxima column. Every advance
-takes one max per column over the column's newest span lags, the whole bank
-last, and each point reads its own column. ``_lockstep`` keeps the point
-books: one floor per (point, live trial), which turns NaN once the point
-has alarmed on that trial or reached its cap, and which no max meets. It
-names NaN maxima, records alarms and censoring, drops a trial once all its
-floors are NaN, and a point once no live trial waits on it.
+takes one max per column over the column's newest span lags (a grid bank's
+lags first, then its grid), the whole bank last, and each point reads its own
+column. ``_lockstep`` keeps the point books: one floor per (point, live
+trial), which turns NaN once the point has alarmed on that trial or reached
+its cap, and which no max meets. It names NaN maxima, records alarms and
+censoring, drops a trial once all its floors are NaN, and a point once no
+live trial waits on it.
 ``run_trials`` is the one-point case of the same run.
 
 Trial i draws its observations from a dedicated RNG substream keyed by
-(master seed, i), in 512-step blocks, exactly as it would running alone, and
+(master seed, i), in order, exactly as it would running alone in 512-step
+blocks (a generator gives the same values in any cut of its sequence), and
 each trial's column of the bank gets exactly the operations of a detector's
 own step. Results are therefore bit-for-bit reproducible for any worker
 count, chunk, batch or block size, and reduced in trial-index order.
@@ -144,9 +149,12 @@ class _Batch:
     """Trials walking one (L, T[, G]) bank together, a sub-block or a step per advance.
 
     Column r of the bank, entry r of rngs and column rows[r] of the block
-    belong to trial live[r] (0 is the batch's first trial). Blocks of up to
-    _STREAM_BLOCK steps are drawn only when the last one is used up and only
-    for live trials, exactly as one trial running alone draws them. An
+    belong to trial live[r] (0 is the batch's first trial). Blocks of size
+    steps are drawn only when the last one is used up and only for live
+    trials, with the values one trial running alone draws: size is
+    _STREAM_BLOCK for a false-alarm run, and a delay run's grows from its
+    first block, which covers nu - 1 + 32 steps, by doubling. A grid bank's
+    maxima reduce over lags before the grid: the (T, G) rows are contiguous. An
     advance scans while the live trials' scan block fits _SCAN_ENTRIES and
     steps otherwise. A sub-block ends before any row with a non-finite
     statistic, which one step feeds through the model's scalar hook: only a
@@ -159,6 +167,9 @@ class _Batch:
         self.live = np.arange(stop - start)
         self.rngs = [np.random.default_rng([plan.seed, i]) for i in range(start, stop)]
         self.lams = np.empty((0, stop - start, *detector._shape))
+        # the next block's steps: a delay run's first covers nu - 1 + 32 steps
+        self.size = _STREAM_BLOCK if math.isinf(self.nu) else min(
+            _STREAM_BLOCK, 1 << (int(self.nu) + 30).bit_length())
         self.done = self.j = 0  # steps done; row j of the block is the next step
         self.checked = ()  # rows whose statistics are all finite: no block drawn yet
         self.hot = False  # as in _LagBank.step, against the block's largest |s|
@@ -175,7 +186,7 @@ class _Batch:
 
     def _draw(self):
         model, n = self.model, self.done
-        k = min(_STREAM_BLOCK, self.max_steps - n)
+        k, self.size = min(self.size, self.max_steps - n), min(2 * self.size, _STREAM_BLOCK)
         # (k, T): row j holds step n + 1 + j; the old block goes first, so one is held at a time
         self.block = self.stats = None
         self.block = block = np.empty((k, len(self.rngs)))
@@ -221,12 +232,14 @@ class _Batch:
                 self.lams = lams = detector._advance(self.lams, s[:, None] if grid else s)
                 top, maxima = lams.max(), None
                 if not top < floor:
-                    bank = lams.max(axis=2) if grid else lams
                     maxima = np.empty((1, len(self.narrow) + 1, len(self.live)))
-                    # the whole bank is the last column: a full-history bank outgrows its first cap
-                    bank.max(axis=0, out=maxima[0, -1])
-                    for span, column in zip(self.narrow, maxima[0]):
-                        bank[-span:].max(axis=0, out=column)
+                    # the whole bank is the last column: a full-history bank outgrows its first
+                    # cap; a grid's lags reduce first, over contiguous (T, G) rows
+                    for span, column in zip((*self.narrow, len(lams)), maxima[0]):
+                        if grid:
+                            lams[-span:].max(axis=0).max(axis=1, out=column)
+                        else:
+                            lams[-span:].max(axis=0, out=column)
         self.j, self.done = e, self.done + e - j
         return top, maxima
 

@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -175,6 +175,17 @@ class SpikedGem(_Spikes, GemModel):
 @dataclass(frozen=True)
 class SpikedWave(_Spikes, BetaWaveModel):
     spikes: tuple = ()
+
+
+@dataclass(frozen=True)
+class CountedGem(GemModel):
+    """Records the (start, length) of every block drawn, over all trials in draw order."""
+
+    blocks: list = field(default_factory=list, compare=False)
+
+    def sample_segment(self, rng, nu, start, length):
+        self.blocks.append((start, length))
+        return super().sample_segment(rng, nu, start, length)
 
 
 @dataclass(frozen=True)
@@ -369,14 +380,15 @@ class TestLockstepMatchesStreaming:
             run_trials(replace(plan, threshold=1e9))
 
     @pytest.mark.parametrize("model", [
-        SpikedGem(0.1, 1e4, 0.4, spikes=((300, math.inf),)),
-        SpikedWave(COUNTY.a0, COUNTY.b0, COUNTY.theta, spikes=((300, 1.0),)),
+        SpikedGem(0.1, 1e4, 0.4, spikes=((30, math.inf),)),
+        SpikedWave(COUNTY.a0, COUNTY.b0, COUNTY.theta, spikes=((30, 1.0),)),
     ], ids=["gem", "betawave"])
     def test_support_error_only_for_consumed_draws(self, model):
-        # every trial alarms before step 300: the bad draw never reaches a bank
+        # every trial alarms before step 30, in the first block of 32 steps that
+        # holds the bad draw: it is drawn but never reaches a bank
         early = _plan(model=model, nu=1, threshold=0.5, window=5, num_trials=4)
         times, _ = run_trials(early)
-        assert times.max() < 300
+        assert times.max() < 30
         np.testing.assert_array_equal(times, _streamed(early)[0])
         late = _plan(model=model, nu=math.inf, threshold=1e9, window=5, num_trials=4,
                      max_steps=400)
@@ -386,7 +398,8 @@ class TestLockstepMatchesStreaming:
 
 class TestOverflowingPostChangeDraws:
     """At theta = 0.4 every draw from lag 1,775 on is +inf; the block of steps
-    1,537-2,048 holds them whether or not a trial gets that far."""
+    1,505-2,016 (after blocks of 32, 64, ..., 512, then 512) holds them whether
+    or not a trial gets that far."""
 
     PLAN = TrialPlan(GEM, "wl-cusum", threshold=1e300, window=23, nu=1, num_trials=4, seed=3,
                      max_steps=2500)
@@ -399,6 +412,43 @@ class TestOverflowingPostChangeDraws:
     def test_a_consumed_draw_raises_support_error(self):
         with pytest.raises(SupportError):
             run_trials(replace(self.PLAN, threshold=math.inf))
+
+
+class TestDrawSizes:
+    """A delay trial's first block is the least power of two of at least nu - 1 + 32
+    steps, and each later one doubles up to 512; a false-alarm trial draws 512 at
+    once. Every block stops at the step cap, and the stopping times are those of
+    512-step blocks."""
+
+    @staticmethod
+    def _blocks(**kw):
+        model = CountedGem(0.1, 1e4, 0.4)
+        plan = _plan(model=model, num_trials=3, **kw)
+        times, censored = run_trials(plan)
+        blocks = list(model.blocks)
+        want = _streamed(plan)
+        np.testing.assert_array_equal(times, want[0])
+        np.testing.assert_array_equal(censored, want[1])
+        return times, blocks
+
+    def test_delay_run_starts_at_32_and_doubles(self):
+        # b = 1e300 is met near step 1,738: all three trials are censored at 1,200
+        times, blocks = self._blocks(nu=1, threshold=1e300, window=23, max_steps=1200)
+        assert times.tolist() == [1200] * 3
+        sizes = [32, 64, 128, 256, 512, 1200 - 992]
+        starts = np.cumsum([1] + sizes[:-1]).tolist()
+        assert blocks == [block for block in zip(starts, sizes) for _ in range(3)]
+
+    def test_first_block_covers_the_change_and_a_post_change_stretch(self):
+        # 64 >= 30 - 1 + 32: every trial alarms after the change, within its first block
+        times, blocks = self._blocks(nu=30, threshold=math.log(1e3), window=25)
+        assert 30 <= times.min() and times.max() <= 64
+        assert blocks == [(1, 64)] * 3
+
+    def test_false_alarm_run_draws_512_first(self):
+        times, blocks = self._blocks(nu=math.inf, threshold=math.log(100), window=23)
+        assert blocks[:3] == [(1, 512)] * 3
+        assert times.max() > 512 and (513, 512) in blocks
 
 
 class TestResolvedMaxSteps:
@@ -675,6 +725,30 @@ class TestSharedOperatingPoints:
         times, censored = montecarlo._run(plans)
         _assert_each_alone(plans, times, censored)
         assert 0 < (times[0] == 40).sum() < len(times[0])
+
+    def test_grid_nan_counts_for_a_point_only_where_it_reads_the_bank(self):
+        # as above on a theta grid: +inf at step 40 and NaN at 41 sit in the old lags
+        # of the theta = 0.75 and 1 columns, which the window-5 point never reads
+        model = SpikedWhenPositive(0.1, 1e4, 1.0, at40=1e308, at41=-1e308)
+        base = _plan(model=model, nu=math.inf, threshold=math.inf, window=23, num_trials=8,
+                     max_steps=300, detector="wl-glr", grid=np.linspace(0.25, 1.0, 4))
+        plans = [base, replace(base, window=5)]
+        times, censored = montecarlo._run(plans)
+        _assert_each_alone(plans, times, censored)
+        assert 0 < (times[0] == 40).sum() < len(times[0])
+
+    def test_grid_nan_raises_for_a_point_that_reads_it(self):
+        model = SpikedGem(0.1, 1e4, 1.0, spikes=((40, -1e308), (41, 1e308)))
+        base = _plan(model=model, nu=math.inf, threshold=math.inf, window=23, num_trials=3,
+                     max_steps=300, detector="wl-glr", grid=np.linspace(0.25, 1.0, 4))
+        plans = [replace(base, window=5), base]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="trial 0 at step 41"):
+                montecarlo._run(plans)
+            with pytest.raises(FloatingPointError, match="at step 41"):
+                _streamed(base)
+            times, censored = montecarlo._run(plans[:1])  # window 5 holds no NaN
+            _assert_each_alone(plans[:1], times, censored)
 
     def test_nan_counts_only_while_a_point_waits(self):
         # at theta = 1 the spikes give NaN at step 601 in lags 13 and up, which the
