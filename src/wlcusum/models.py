@@ -132,7 +132,12 @@ class ObservationModel:
         raise NotImplementedError
 
     def sample_post_lags(self, rng: np.random.Generator, lags: np.ndarray):
-        """One post-change draw per lag of a 1-D array, in order."""
+        """One post-change draw per lag of a 1-D array, in order.
+
+        Cut-invariant: drawing lags a then b gives the values and generator
+        state of drawing a + b at once. Monte Carlo runs cut a trial's
+        stream into blocks of varying size and rely on this.
+        """
         raise NotImplementedError
 
     def sample_segment(self, rng: np.random.Generator, nu, start: int, length: int):
@@ -140,6 +145,8 @@ class ObservationModel:
 
         nu may be math.inf for a pure pre-change stream. Times are 1-based;
         the observation at time n is post-change iff n >= nu, at lag n - nu.
+        Cut-invariant, as sample_post_lags must be: segments [s, s + a) and
+        [s + a, s + a + b) give the values and generator state of [s, s + a + b).
         """
         if math.isinf(nu):
             return np.asarray(self.sample_pre(rng, size=length), dtype=float)
@@ -325,14 +332,8 @@ class GemModel(_GaussianModel):
     _var = property(lambda self: self.sigma0_sq)
 
     def _post_mean(self, lags):
-        lags = np.asarray(lags, dtype=float)
-        # errstate costs more than a short block's exp: enter it only where e^{theta l} or
-        # mu0 e^{theta l} can pass e^709 (Python floats: a NaN lag or an inf product goes there)
-        top = float(self.theta) * float(np.maximum.reduce(lags, axis=None, initial=0.0))
-        if top < 709.0 - max(math.log(self.mu0), 0.0):
-            return self.mu0 * np.exp(self.theta * lags)
         with np.errstate(over="ignore"):  # +inf once e^{theta l} overflows
-            return self.mu0 * np.exp(self.theta * lags)
+            return self.mu0 * np.exp(self.theta * np.asarray(lags, dtype=float))
 
     def llr_terms(self, lags):
         lags = np.asarray(lags, dtype=float)

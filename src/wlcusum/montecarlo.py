@@ -32,10 +32,11 @@ live trial waits on it.
 
 Trial i draws its observations from a dedicated RNG substream keyed by
 (master seed, i), in order, exactly as it would running alone in 512-step
-blocks (a generator gives the same values in any cut of its sequence), and
-each trial's column of the bank gets exactly the operations of a detector's
-own step. Results are therefore bit-for-bit reproducible for any worker
-count, chunk, batch or block size, and reduced in trial-index order.
+blocks (a model's sample_segment must give the same values in any cut of a
+trial's sequence, as the built-in models do), and each trial's column of the
+bank gets exactly the operations of a detector's own step. Results are
+therefore bit-for-bit reproducible for any worker count, chunk, batch or
+block size, and reduced in trial-index order.
 """
 
 from __future__ import annotations
