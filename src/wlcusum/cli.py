@@ -311,17 +311,7 @@ def _cmd_simulate_oc(args, out_dir, written):
     rows = operating_characteristic(plan, args.alphas, safety=args.safety,
                                     glr_inputs=glr_inputs)
     _write_csv(out_dir / "oc.csv", *_oc_table(rows), written)
-    payload = {
-        "rows": [
-            {
-                "alpha": r.alpha,
-                "threshold": r.threshold,
-                "window": r.window,
-                "delay": _delay_dict(r.delay),
-            }
-            for r in rows
-        ]
-    }
+    payload = {"rows": [{**asdict(r), "delay": _delay_dict(r.delay)} for r in rows]}
     _write_json(out_dir / "oc_summary.json", payload, written)
     return payload
 
@@ -463,8 +453,9 @@ def _cmd_fit_epi(args, out_dir, written):
         tol=args.tol,
         seed=args.seed,
     )
-    payload = {"beta_fit": asdict(beta), "wave_fit": fit.as_dict(),
-               "num_days": stop - start}
+    wave = {f"theta{i}": v for i, v in enumerate(fit.theta)}
+    payload = {"beta_fit": asdict(beta), "num_days": stop - start,
+               "wave_fit": {**wave, "residual": fit.residual, "restarts": fit.restarts}}
     _write_json(out_dir / "fit_summary.json", payload, written)
     return payload
 

@@ -137,9 +137,11 @@ class _LagBank:
     value.
 
     Past a bound on |s| set with each table build, an entry may overflow to
-    +-inf, which is a valid statistic. From the first such s until reset the
-    bank steps with overflow warnings off; below it no update can overflow,
-    and the step pays for one comparison instead.
+    +-inf, which is a valid statistic. This guard serves ``step``: from the
+    first such s until reset the bank steps with overflow warnings off; below
+    it no update can overflow, and the step pays for one comparison instead.
+    A Monte Carlo walk needs no guard: it runs every advance under one error
+    scope of its own.
     """
 
     _points = (None,)  # theta_hat of each bank column: none without a grid

@@ -232,15 +232,6 @@ class WaveFit:
     residual: float
     restarts: int
 
-    def as_dict(self) -> dict:
-        return {
-            "theta0": self.theta[0],
-            "theta1": self.theta[1],
-            "theta2": self.theta[2],
-            "residual": float(self.residual),
-            "restarts": int(self.restarts),
-        }
-
 
 def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section minimizer on [lo, hi] over 72 steps; returns (argmin, min)."""

@@ -28,7 +28,10 @@ trial), which turns NaN once the point has alarmed on that trial or reached
 its cap, and which no max meets. It names NaN maxima, records alarms and
 censoring, drops a trial once all its floors are NaN, and a point once no
 live trial waits on it.
-``run_trials`` is the one-point case of the same run.
+``run_trials`` is the one-point case of the same run. A walk runs under one
+numpy error scope that ignores overflow and invalid values (a +-inf entry is
+a valid statistic, and the books name every NaN a point reads); the model's
+draws and statistics keep the caller's settings, so its own warnings show.
 
 Trial i draws its observations from a dedicated RNG substream keyed by
 (master seed, i), in order, exactly as it would running alone in 512-step
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,7 +81,6 @@ _SCAN_STEPS = 256
 _SCAN_CAP = 128
 _SCAN_ENTRIES = 2**21
 _MAX_DEFAULT_STEPS = 10_000_000
-_COOL = nullcontext()  # in place of np.errstate while a batch is not hot
 
 _DETECTOR_KINDS = ("wl-cusum", "full-cusum", "wl-glr")
 
@@ -111,23 +112,23 @@ class TrialPlan:
             raise ValueError("wl-glr needs a theta grid")
         if math.isnan(self.threshold):  # a NaN b never alarms; +-inf are valid
             raise ValueError(f"threshold must be a number or +-inf, got {self.threshold}")
-        if not math.isinf(self.nu):
-            if float(self.nu) != int(self.nu) or int(self.nu) < 1:
-                raise ValueError(f"nu must be an integer >= 1 or math.inf, got {self.nu}")
+        if not math.isinf(self.nu) and not (float(self.nu).is_integer() and self.nu >= 1):
+            raise ValueError(f"nu must be an integer >= 1 or math.inf, got {self.nu}")
         if self.detector == "full-cusum" and self.window is not None:
             raise ValueError(f"full-cusum reads every hypothesis, got window {self.window}")
-        if int(self.num_trials) < 1:
-            raise ValueError(f"num_trials must be >= 1, got {self.num_trials}")
-        if int(self.workers) < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("num_trials", "workers"):  # whole numbers, as nu: 1000.0 is one
+            value = getattr(self, name)
+            if not (float(value).is_integer() and value >= 1):
+                raise ValueError(f"{name} must be a whole number >= 1, got {value}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
 
     def resolved_max_steps(self, curve: GrowthCurve | None = None) -> int:
         """The step cap; curve, a GrowthCurve of the model, serves g^{-1}(b) when given."""
         if self.max_steps is not None:
-            steps = int(self.max_steps)
-            if steps < 1:
-                raise ValueError(f"max_steps must be >= 1, got {steps}")
-            return steps
+            if not (float(self.max_steps).is_integer() and self.max_steps >= 1):
+                raise ValueError(f"max_steps must be a whole number >= 1, got {self.max_steps}")
+            return int(self.max_steps)
         b = float(self.threshold)
         if math.isinf(self.nu):
             budget = 50.0 * math.exp(min(b, 30.0))
@@ -159,7 +160,8 @@ class _Batch:
     advance scans while the live trials' scan block fits _SCAN_ENTRIES and
     steps otherwise. A sub-block ends before any row with a non-finite
     statistic, which one step feeds through the model's scalar hook: only a
-    trial that consumes an off-support draw raises SupportError.
+    trial that consumes an off-support draw raises SupportError. It advances
+    in ``_lockstep``'s error scope; the model runs under saved, the caller's.
     """
 
     def __init__(self, detector, plan: TrialPlan, start: int, stop: int, max_steps: int, narrow):
@@ -173,7 +175,7 @@ class _Batch:
             _STREAM_BLOCK, 1 << (int(self.nu) + 30).bit_length())
         self.done = self.j = 0  # steps done; row j of the block is the next step
         self.checked = ()  # rows whose statistics are all finite: no block drawn yet
-        self.hot = False  # as in _LagBank.step, against the block's largest |s|
+        self.saved = np.geterr()  # the caller's settings, under which the model runs
 
     @staticmethod
     def scan_entries(detector) -> int:
@@ -191,16 +193,11 @@ class _Batch:
         # (k, T): row j holds step n + 1 + j; the old block goes first, so one is held at a time
         self.block = self.stats = None
         self.block = block = np.empty((k, len(self.rngs)))
-        for r, rng in enumerate(self.rngs):
-            block[:, r] = model.sample_segment(rng, self.nu, n + 1, k)
-        self.stats = stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
-        finite = np.isfinite(stats)
-        if finite.all():  # as a rule: then no masked copy of the block
-            self.checked = np.ones(k, dtype=bool)
-            self.s_top = max(stats.max(), -stats.min())
-        else:
-            self.checked = finite.all(axis=1)
-            self.s_top = np.abs(stats[finite]).max(initial=0.0)  # only a finite s can overflow
+        with np.errstate(**self.saved):
+            for r, rng in enumerate(self.rngs):
+                block[:, r] = model.sample_segment(rng, self.nu, n + 1, k)
+            self.stats = stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
+        self.checked = np.isfinite(stats).all(axis=1)
         self.rows, self.j = np.arange(len(self.live)), 0
 
     def advance(self, floor: float):
@@ -210,37 +207,33 @@ class _Batch:
         if self.j == len(self.checked):
             self._draw()
         detector, j, checked = self.detector, self.j, self.checked
-        # the bound falls when a full-history bank grows mid-block, so compare every advance
-        self.hot = self.hot or not self.s_top <= detector._s_safe
-        # invalid too: a trial that alarmed in a scan steps on to the block's end, where
-        # inf - inf may meet; a NaN that some point still reads raises in _lockstep
-        with np.errstate(over="ignore", invalid="ignore") if self.hot else _COOL:
-            entries = self.scan_entries(detector)
-            if 0 < entries * len(self.live) <= _SCAN_ENTRIES and checked[j]:
-                e = min(j + _SCAN_STEPS, len(checked))
-                if not checked[j:e].all():
-                    e = j + int(checked[j:e].argmin())
-                maxima, self.lams = detector._scan(self.lams, self.stats[j:e, self.rows],
-                                                   self.narrow)
-                top = maxima.max()
-            else:
-                e, s = j + 1, self.stats[j][self.rows]
-                if not checked[j]:
-                    # off the support or a true infinity: the scalar hook decides, as a step would
+        entries = self.scan_entries(detector)
+        if 0 < entries * len(self.live) <= _SCAN_ENTRIES and checked[j]:
+            e = min(j + _SCAN_STEPS, len(checked))
+            if not checked[j:e].all():
+                e = j + int(checked[j:e].argmin())
+            maxima, self.lams = detector._scan(self.lams, self.stats[j:e, self.rows],
+                                               self.narrow)
+            top = maxima.max()
+        else:
+            e, s = j + 1, self.stats[j][self.rows]
+            if not checked[j]:
+                # off the support or a true infinity: the scalar hook decides, as a step would
+                with np.errstate(**self.saved):
                     s = np.array([v if math.isfinite(v) else self.model.sufficient_stat(x)
                                   for x, v in zip(self.block[j][self.rows], s)])
-                grid = bool(detector._shape)  # then one statistic per trial is broadcast over it
-                self.lams = lams = detector._advance(self.lams, s[:, None] if grid else s)
-                top, maxima = lams.max(), None
-                if not top < floor:
-                    maxima = np.empty((1, len(self.narrow) + 1, len(self.live)))
-                    # the whole bank is the last column: a full-history bank outgrows its first
-                    # cap; a grid's lags reduce first, over contiguous (T, G) rows
-                    for span, column in zip((*self.narrow, len(lams)), maxima[0]):
-                        if grid:
-                            lams[-span:].max(axis=0).max(axis=1, out=column)
-                        else:
-                            lams[-span:].max(axis=0, out=column)
+            grid = bool(detector._shape)  # then one statistic per trial is broadcast over it
+            self.lams = lams = detector._advance(self.lams, s[:, None] if grid else s)
+            top, maxima = lams.max(), None
+            if not top < floor:
+                maxima = np.empty((1, len(self.narrow) + 1, len(self.live)))
+                # the whole bank is the last column: a full-history bank outgrows its first
+                # cap; a grid's lags reduce first, over contiguous (T, G) rows
+                for span, column in zip((*self.narrow, len(lams)), maxima[0]):
+                    if grid:
+                        lams[-span:].max(axis=0).max(axis=1, out=column)
+                    else:
+                        lams[-span:].max(axis=0, out=column)
         self.j, self.done = e, self.done + e - j
         return top, maxima
 
@@ -282,58 +275,59 @@ def _lockstep(detector, plans: list[TrialPlan], caps: list[int], start: int, tim
     # caps and floor of the table rows of ids; which is None while the points are the columns
     point_caps, floor, next_cap = caps, table.min(), caps.min()
     which = None if columns.tolist() == [*range(len(narrow) + 1)] else columns
-    while True:
-        before = batch.done
-        top, maxima = batch.advance(floor)
-        left = False  # whether a floor turned NaN
-        if not top < floor:  # a NaN top goes on
-            if which is not None:
-                maxima = maxima[:, which]  # (rows, points, T)
-            # one point: every live trial waits on it, and one floor compares fastest
-            raised, in_cap = maxima >= (floors if len(ids) > 1 else floors[:, :1]), True
-            if next_cap < batch.done:  # rows past a point's cap do not count for it
-                in_cap = np.arange(len(maxima))[:, None, None] < (point_caps - before)[:, None]
-                raised &= in_cap
-            alarm = raised[0] if len(raised) == 1 else np.logical_or.reduce(raised)
-            if math.isnan(top):
-                # a NaN counts for a point that waits on the trial, up to its alarm
-                before_alarm = np.arange(len(maxima))[:, None, None] < raised.argmax(axis=0)
-                nan = np.isnan(maxima) & in_cap & (~alarm | before_alarm) & (floors == floors)
-                if nan.any():
-                    r = int(nan.any(axis=(1, 2)).argmax())
-                    bad = int(batch.live[nan[r].any(axis=0)][0]) + start
-                    raise FloatingPointError(
-                        f"NaN in the hypothesis bank of trial {bad} at step {before + r + 1}")
-            point, col = alarm.nonzero()
-            if len(col):
-                # one step's row is its alarm row; a scan's point alarms at its first raised row
-                ends = before + 1
-                if len(raised) > 1:
-                    ends = ends + raised.argmax(axis=0)[point, col]
-                floors[alarm] = math.nan
-                if len(ids) < len(plans):
-                    point = ids[point]
-                hit = batch.live[col]
-                times[point, hit], censored[point, hit] = ends, False
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN a point reads raises below
+        while True:
+            before = batch.done
+            top, maxima = batch.advance(floor)
+            left = False  # whether a floor turned NaN
+            if not top < floor:  # a NaN top goes on
+                if which is not None:
+                    maxima = maxima[:, which]  # (rows, points, T)
+                # one point: every live trial waits on it, and one floor compares fastest
+                raised, in_cap = maxima >= (floors if len(ids) > 1 else floors[:, :1]), True
+                if next_cap < batch.done:  # rows past a point's cap do not count for it
+                    in_cap = np.arange(len(maxima))[:, None, None] < (point_caps - before)[:, None]
+                    raised &= in_cap
+                alarm = raised[0] if len(raised) == 1 else np.logical_or.reduce(raised)
+                if math.isnan(top):
+                    # a NaN counts for a point that waits on the trial, up to its alarm
+                    before_alarm = np.arange(len(maxima))[:, None, None] < raised.argmax(axis=0)
+                    nan = np.isnan(maxima) & in_cap & (~alarm | before_alarm) & (floors == floors)
+                    if nan.any():
+                        r = int(nan.any(axis=(1, 2)).argmax())
+                        bad = int(batch.live[nan[r].any(axis=0)][0]) + start
+                        raise FloatingPointError(
+                            f"NaN in the hypothesis bank of trial {bad} at step {before + r + 1}")
+                point, col = alarm.nonzero()
+                if len(col):
+                    # one step's row is its alarm row; a scan's point alarms at its first raised row
+                    ends = before + 1
+                    if len(raised) > 1:
+                        ends = ends + raised.argmax(axis=0)[point, col]
+                    floors[alarm] = math.nan
+                    if len(ids) < len(plans):
+                        point = ids[point]
+                    hit = batch.live[col]
+                    times[point, hit], censored[point, hit] = ends, False
+                    left = True
+            if batch.done >= next_cap:  # a point still waiting at its cap is censored there
+                floors[point_caps <= batch.done] = math.nan
                 left = True
-        if batch.done >= next_cap:  # a point still waiting at its cap is censored there
-            floors[point_caps <= batch.done] = math.nan
-            left = True
-        if left:
-            waits = floors == floors  # not NaN: the point waits on the trial
-            stay = waits[0] if len(ids) == 1 else np.logical_or.reduce(waits)
-            kept = np.count_nonzero(stay)
-            if not kept:
-                return
-            if kept < len(stay):
-                batch.keep(stay)
-                floors = floors[:, stay]
-            if len(ids) > 1:
-                waits = np.logical_or.reduce(waits, axis=1)  # a trial that left waits on none
-                if not waits.all():
-                    ids, floors = ids[waits], floors[waits]
-                    point_caps, which = caps[ids], columns[ids]
-                    floor, next_cap = table[ids].min(), point_caps.min()
+            if left:
+                waits = floors == floors  # not NaN: the point waits on the trial
+                stay = waits[0] if len(ids) == 1 else np.logical_or.reduce(waits)
+                kept = np.count_nonzero(stay)
+                if not kept:
+                    return
+                if kept < len(stay):
+                    batch.keep(stay)
+                    floors = floors[:, stay]
+                if len(ids) > 1:
+                    waits = np.logical_or.reduce(waits, axis=1)  # a trial that left waits on none
+                    if not waits.all():
+                        ids, floors = ids[waits], floors[waits]
+                        point_caps, which = caps[ids], columns[ids]
+                        floor, next_cap = table[ids].min(), point_caps.min()
 
 
 def _run_chunk(plans: list[TrialPlan], start: int, stop: int, caps: list[int]):

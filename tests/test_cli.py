@@ -208,6 +208,46 @@ class TestArgumentErrors:
         assert "error: threshold must be a number or +-inf, got nan" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["estimate-add", *GEM, "--nu", "1", "--alpha", "1e-2", "--detector", "wl-glr"], 1,
+         "error: detector 'wl-glr' requires --theta-box"),
+        (["estimate-add", *GEM, "--nu", "1", "--alpha", "1e-2", "--detector", "wl-glr",
+          "--theta-box", "0.1:1,0.1:1"], 1,
+         "error: --theta-box must give 1 lo:hi pairs for model 'gem', got 2"),
+        (["estimate-add", *GEM, "--nu", "1", "--window", "5"], 1,
+         "error: need --threshold or --alpha to set the detection threshold"),
+        (["simulate-qq", *GEM, "--threshold", "1e9", "--window", "5", "--max-steps", "10",
+          "--trials", "5"], 1, "error: only 0 of 5 trials alarmed before the step cap"),
+        (["monitor-epi", *SYNTHETIC_COUNTY, "--prechange-days", "40"], 1,
+         "error: --start-date needs 40 smoothed days before it for the pre-change fit"),
+        (["fit-epi", *SYNTHETIC_COUNTY, "--end-date", "2020-06-30"], 1,
+         "error: --end-date must not precede --start-date"),
+        (["fit-epi", *SYNTHETIC_COUNTY, "--end-date", "2020-06-31"], 2,
+         "argument --end-date: expected an ISO date like 2020-06-01, got '2020-06-31'"),
+    ], ids=["glr-without-box", "box-dimension", "no-threshold", "qq-too-few-alarms",
+            "too-few-prechange-days", "end-before-start", "bad-iso-date"])
+    def test_refusal_exit_code_and_message(self, argv, code, message, tmp_path, capsys):
+        seed = [] if argv[0].endswith("-epi") else ["--seed", "1", "--workers", "1"]
+        out = tmp_path / "out"
+        try:
+            got = main([*argv, *seed, "--out", str(out)])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert message in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_failed_run_removes_its_partial_outputs(self, tmp_path, capsys):
+        # the trials table is written first; the summary cannot be, as a directory holds its name
+        out = tmp_path / "out"
+        (out / "add_summary.json").mkdir(parents=True)
+        code, _, err = _run(capsys, ["estimate-add", *GEM, "--nu", "1", "--alpha", "1e-2",
+                                     "--window", "5", "--trials", "4", "--seed", "1",
+                                     "--workers", "1", "--out", str(out)])
+        assert code == 1
+        assert err.startswith("error: ") and "add_summary.json" in err
+        assert [p.name for p in out.iterdir()] == ["add_summary.json"]
+
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -414,6 +415,64 @@ class TestOverflowingPostChangeDraws:
             run_trials(replace(self.PLAN, threshold=math.inf))
 
 
+@dataclass(frozen=True)
+class InfiniteAtSpike(SpikedGem):
+    """Its scalar hook confirms t(x) = +inf, a true infinity, for x >= 1e300."""
+
+    def sufficient_stat(self, x):
+        return math.inf if x >= 1e300 else super().sufficient_stat(x)
+
+    def sufficient_stats(self, xs):
+        return np.where(xs >= 1e300, math.inf, super().sufficient_stats(xs))
+
+
+@dataclass(frozen=True)
+class WarningDraws(GemModel):
+    """Each block it draws overflows a numpy exp of its own, which warns."""
+
+    def sample_segment(self, rng, nu, start, length):
+        np.exp(np.array([1e3]))
+        return super().sample_segment(rng, nu, start, length)
+
+
+class TestErrorScope:
+    """A walk advances under one numpy error scope; the model runs under the caller's."""
+
+    SPIKED = InfiniteAtSpike(0.1, 1e4, 0.4, spikes=((5, 1e300),))
+
+    @pytest.mark.parametrize("kw", [
+        dict(window=23),  # scanned up to the spike, which one step takes
+        dict(detector="wl-glr", grid=np.linspace(0.1, 0.5, 5), window=23),
+    ], ids=["scan", "grid"])
+    def test_infinite_statistic_raises_as_a_step_does(self, kw):
+        # +inf meets GEM's lag-0 slope of 0: the new hypothesis is NaN at step 5 (at
+        # m = 23 step's overflow bound on |s| is finite, so step meets +inf in its scope)
+        plan = _plan(model=self.SPIKED, nu=math.inf, threshold=1e9, num_trials=3,
+                     max_steps=50, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="of trial 0 at step 5$"):
+                run_trials(plan)
+            with pytest.raises(FloatingPointError, match="bank at step 5$"):
+                _streamed(plan)
+
+    def test_model_warnings_still_show(self):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            run_trials(_plan(model=WarningDraws(0.1, 1e4, 0.4), num_trials=2))
+
+    @pytest.mark.parametrize("error, model", [
+        (SupportError, SpikedGem(0.1, 1e4, 0.4, spikes=((5, math.inf),))),
+        (FloatingPointError, SPIKED),
+    ], ids=["support-error", "nan"])
+    def test_caller_settings_survive_a_failed_run(self, error, model):
+        plan = _plan(model=model, nu=math.inf, threshold=1e9, num_trials=3, max_steps=50)
+        with np.errstate(over="raise", invalid="raise"):
+            before = np.geterr()
+            with pytest.raises(error, match=None if error is SupportError else "trial 0"):
+                run_trials(plan)
+            assert np.geterr() == before
+
+
 class TestDrawSizes:
     """A delay trial's first block is the least power of two of at least nu - 1 + 32
     steps, and each later one doubles up to 512; a false-alarm trial draws 512 at
@@ -482,6 +541,20 @@ class TestPlanValidation:
     def test_glr_needs_grid(self):
         with pytest.raises(ValueError):
             _plan(detector="wl-glr")
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(seed=-3), "seed must be an integer >= 0, got -3"),
+        (dict(seed=2.0), "seed must be an integer >= 0, got 2.0"),
+        (dict(num_trials=2.7), "num_trials must be a whole number >= 1, got 2.7"),
+        (dict(workers=1.5), "workers must be a whole number >= 1, got 1.5"),
+        (dict(max_steps=2.5), "max_steps must be a whole number >= 1, got 2.5"),
+    ], ids=["negative-seed", "float-seed", "num-trials", "workers", "max-steps"])
+    def test_names_a_bad_seed_or_count(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            run_trials(_plan(**kw))
+        # a count is a whole number, as nu is: 4.0 is one
+        plan = _plan(threshold=1e9, num_trials=4.0, workers=1.0, max_steps=5.0)
+        np.testing.assert_array_equal(run_trials(plan)[0], [5] * 4)
 
     def test_nan_threshold(self):
         with pytest.raises(ValueError, match="threshold must be a number or \\+-inf, got nan"):
