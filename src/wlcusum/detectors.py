@@ -280,7 +280,7 @@ class _LagBank:
         raises FloatingPointError: it is neither an alarm nor "no change".
         """
         s = self.model.sufficient_stat(x)  # raises off-support, state unchanged
-        if self._hot or not abs(s) <= self._s_safe:
+        if self._hot or not abs(s) < self._s_safe:  # strict: s = +-inf is guarded at bound +inf
             self._hot = True
             with np.errstate(over="ignore", invalid="ignore"):  # a NaN raises below
                 lam = self._advance(self._lam, s)

@@ -291,6 +291,8 @@ def fit_wave_shape(
     restarts = int(restarts)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
     y = np.asarray(series.fractions, dtype=float)
     if len(y) < 3:
         raise ValueError("need at least 3 days of data to fit a wave")

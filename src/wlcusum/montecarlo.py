@@ -6,11 +6,13 @@ The trials of a chunk run in lockstep batches. A ``_Batch`` walks one
 false-alarm run draws 512 steps a block; a delay run (finite nu) first draws
 the least power of two of at least nu - 1 + 32 steps, then doubles each block
 up to 512, so a trial that alarms soon after the change draws little past it.
-A window-limited bank with no grid and at most _SCAN_CAP lags (a
-full-history one too, once its cap stops at a dead lag that small) advances
-through up to B = _SCAN_STEPS drawn steps per ``_LagBank._scan`` call, with
-no Python loop per step; on GEM with m = 23 that runs about 3x the trials
-per second of one step per call. Every other bank takes ``_advance``, the
+A block is trial-major, one contiguous row of draws per trial. A
+window-limited bank with no grid and at most _SCAN_CAP lags (a full-history
+one too, once its cap stops at a dead lag that small) advances through up to
+B = _SCAN_STEPS drawn steps per ``_LagBank._scan`` call (2B, the rest of a
+512-step block, once fewer than _SCAN_THIN trials are live), with no Python
+loop per step; on GEM with m = 23 that runs about 3x the trials per second of
+one step per call. Every other bank takes ``_advance``, the
 update a detector's own step applies, once per step: a block with a grid
 axis was 0.29-0.65x as fast on the oc-glr-gem plans (G = 50, trials of about
 22 steps), and a block's cap * (cap + B) work gained nothing at m = 200 and
@@ -37,13 +39,16 @@ Trial i draws its observations from a dedicated RNG substream keyed by
 (master seed, i), in order, exactly as it would running alone in 512-step
 blocks (a model's sample_segment must give the same values in any cut of a
 trial's sequence, as the built-in models do), and each trial's column of the
-bank gets exactly the operations of a detector's own step. Results are
-therefore bit-for-bit reproducible for any worker count, chunk, batch or
-block size, and reduced in trial-index order.
+bank gets exactly the operations of a detector's own step. A batch seeds all
+its generators in one pass of numpy's SeedSequence hash (``_trial_rngs``),
+state for state np.random.default_rng([seed, i]). Results are therefore
+bit-for-bit reproducible for any worker count, chunk, batch or block size,
+and reduced in trial-index order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -80,6 +85,9 @@ _BATCH_ENTRIES = 2**15
 _SCAN_STEPS = 256
 _SCAN_CAP = 128
 _SCAN_ENTRIES = 2**21
+# Below this many live trials a scan runs up to 2 * _SCAN_STEPS steps: a thin batch cannot
+# amortise a scan's fixed numpy calls (about 100 us), and 16 * 128 * 640 < _SCAN_ENTRIES.
+_SCAN_THIN = 16
 _MAX_DEFAULT_STEPS = 10_000_000
 
 _DETECTOR_KINDS = ("wl-cusum", "full-cusum", "wl-glr")
@@ -147,18 +155,101 @@ def _build_detector(plan: TrialPlan):
     return WlGlr(plan.model, plan.threshold, plan.window, plan.grid)
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), its published hash: a pool of
+# four uint32 words, hashmix and mix, and generate_state's output hash
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(values, xor, mult):
+    values = values ^ xor
+    values *= mult
+    values ^= values >> 16
+    return values
+
+
+def _mix(x, y):
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> 16
+    return x
+
+
+@functools.cache
+def _hash_rounds(words: int) -> list:
+    """Each round's (xor, multiply) columns of hashmix constants, for `words` words of
+    entropy: call c xors INIT * MULT^c and multiplies by INIT * MULT^(c + 1). Rounds:
+    the first four words into the pool; pool word src into each other (its own row a
+    placeholder), for src = 0 .. 3; one per word past four; generate_state's 8 words."""
+    def powers(init, mult, calls):
+        out = [init]
+        for _ in range(calls):
+            out.append(out[-1] * mult & _MASK32)
+        return np.array(out, dtype=np.uint32)
+
+    a = powers(0x43B0D7E5, 0x931E8875, 16 + 4 * max(words - 4, 0))
+    calls = [np.arange(4)] + [4 + 3 * src + np.arange(4) - (np.arange(4) >= src)
+                              for src in range(4)]
+    calls += [np.arange(16 + 4 * w, 20 + 4 * w) for w in range(words - 4)]
+    b = powers(0x8B51F9DD, 0x58F38DED, 8)
+    return [(a[c][:, None], a[c + 1][:, None]) for c in calls] + [(b[:-1, None], b[1:, None])]
+
+
+class _SeedWords:
+    """A trial's PCG64 seed words, hashed ahead: PCG64 asks a seed sequence for
+    generate_state(4, np.uint64) once, and gets them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _trial_rngs(seed: int, start: int, stop: int) -> list:
+    """np.random.default_rng([seed, i]) for i in start .. stop - 1, state for state,
+    from one vectorized pass of SeedSequence's hash over the trials."""
+    if stop > 2**32:  # an index of two words: numpy's own seeding
+        return [np.random.default_rng([seed, i]) for i in range(start, stop)]
+    from numpy.random.bit_generator import ISeedSequence  # numpy.random loads with a run
+
+    # public: "BitGenerator implementations should treat any object that adheres
+    # to this interface as a seed sequence"
+    ISeedSequence.register(_SeedWords)
+    seed = int(seed)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    # the entropy, one column per trial: the seed's words, i's word, then zeros up to
+    # four words, as SeedSequence hashes 0 into the pool words past its entropy
+    entropy = np.zeros((max(len(words) + 1, 4), stop - start), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(start, stop)
+    rounds = _hash_rounds(len(words) + 1)
+    pool = _hashmix(entropy[:4], *rounds[0])
+    for src in range(4):  # each other pool word mixes in its own hash of word src
+        mixed = _mix(pool, _hashmix(pool[src], *rounds[1 + src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for word, consts in zip(entropy[4:], rounds[5:-1]):  # each word past four into all four
+        pool = _mix(pool, _hashmix(word, *consts))
+    state = _hashmix(np.concatenate((pool, pool)), *rounds[-1])  # 8 words, read as 4 uint64
+    seeds = np.ascontiguousarray(state.T).view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(s))) for s in seeds]
+
+
 class _Batch:
     """Trials walking one (L, T[, G]) bank together, a sub-block or a step per advance.
 
-    Column r of the bank, entry r of rngs and column rows[r] of the block
-    belong to trial live[r] (0 is the batch's first trial). Blocks of size
-    steps are drawn only when the last one is used up and only for live
-    trials, with the values one trial running alone draws: size is
-    _STREAM_BLOCK for a false-alarm run, and a delay run's grows from its
-    first block, which covers nu - 1 + 32 steps, by doubling. A grid bank's
-    maxima reduce over lags before the grid: the (T, G) rows are contiguous. An
-    advance scans while the live trials' scan block fits _SCAN_ENTRIES and
-    steps otherwise. A sub-block ends before any row with a non-finite
+    Column r of the bank, entry r of rngs (seeded in one ``_trial_rngs``
+    pass) and row rows[r] of the (T, k) block belong to trial live[r] (0 is
+    the batch's first trial). Blocks of size steps are drawn only when the
+    last one is used up and only for live trials, with the values one trial
+    running alone draws: size is _STREAM_BLOCK for a false-alarm run, and a
+    delay run's grows from its first block, which covers nu - 1 + 32 steps,
+    by doubling. A grid bank's maxima reduce over lags before the grid: the
+    (T, G) rows are contiguous. An advance scans while the live trials' scan
+    block fits _SCAN_ENTRIES, up to _SCAN_STEPS steps (2 * _SCAN_STEPS, the
+    rest of a 512-step block, once fewer than _SCAN_THIN trials are live),
+    and steps otherwise. A sub-block ends before any row with a non-finite
     statistic, which one step feeds through the model's scalar hook: only a
     trial that consumes an off-support draw raises SupportError. It advances
     in ``_lockstep``'s error scope; the model runs under saved, the caller's.
@@ -168,7 +259,7 @@ class _Batch:
         self.detector, self.model, self.nu = detector, plan.model, plan.nu
         self.max_steps, self.narrow = max_steps, narrow  # narrow: the spans below cap
         self.live = np.arange(stop - start)
-        self.rngs = [np.random.default_rng([plan.seed, i]) for i in range(start, stop)]
+        self.rngs = _trial_rngs(plan.seed, start, stop)
         self.lams = np.empty((0, stop - start, *detector._shape))
         # the next block's steps: a delay run's first covers nu - 1 + 32 steps
         self.size = _STREAM_BLOCK if math.isinf(self.nu) else min(
@@ -190,14 +281,14 @@ class _Batch:
     def _draw(self):
         model, n = self.model, self.done
         k, self.size = min(self.size, self.max_steps - n), min(2 * self.size, _STREAM_BLOCK)
-        # (k, T): row j holds step n + 1 + j; the old block goes first, so one is held at a time
+        # (T, k): column j holds step n + 1 + j; the old block goes first, so one is held at a time
         self.block = self.stats = None
-        self.block = block = np.empty((k, len(self.rngs)))
+        self.block = block = np.empty((len(self.rngs), k))
         with np.errstate(**self.saved):
-            for r, rng in enumerate(self.rngs):
-                block[:, r] = model.sample_segment(rng, self.nu, n + 1, k)
+            for rng, row in zip(self.rngs, block):
+                row[:] = model.sample_segment(rng, self.nu, n + 1, k)
             self.stats = stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
-        self.checked = np.isfinite(stats).all(axis=1)
+        self.checked = np.isfinite(stats).all(axis=0)
         self.rows, self.j = np.arange(len(self.live)), 0
 
     def advance(self, floor: float):
@@ -209,19 +300,20 @@ class _Batch:
         detector, j, checked = self.detector, self.j, self.checked
         entries = self.scan_entries(detector)
         if 0 < entries * len(self.live) <= _SCAN_ENTRIES and checked[j]:
-            e = min(j + _SCAN_STEPS, len(checked))
+            steps = _SCAN_STEPS if len(self.live) >= _SCAN_THIN else 2 * _SCAN_STEPS
+            e = min(j + steps, len(checked))
             if not checked[j:e].all():
                 e = j + int(checked[j:e].argmin())
-            maxima, self.lams = detector._scan(self.lams, self.stats[j:e, self.rows],
+            maxima, self.lams = detector._scan(self.lams, self.stats[self.rows, j:e].T,
                                                self.narrow)
             top = maxima.max()
         else:
-            e, s = j + 1, self.stats[j][self.rows]
+            e, s = j + 1, self.stats[self.rows, j]
             if not checked[j]:
                 # off the support or a true infinity: the scalar hook decides, as a step would
                 with np.errstate(**self.saved):
                     s = np.array([v if math.isfinite(v) else self.model.sufficient_stat(x)
-                                  for x, v in zip(self.block[j][self.rows], s)])
+                                  for x, v in zip(self.block[self.rows, j], s)])
             grid = bool(detector._shape)  # then one statistic per trial is broadcast over it
             self.lams = lams = detector._advance(self.lams, s[:, None] if grid else s)
             top, maxima = lams.max(), None

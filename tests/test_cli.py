@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from test_golden import EPI_FLAGS
 
 from wlcusum import cli
 from wlcusum.cli import main
@@ -224,8 +225,9 @@ class TestArgumentErrors:
          "error: --end-date must not precede --start-date"),
         (["fit-epi", *SYNTHETIC_COUNTY, "--end-date", "2020-06-31"], 2,
          "argument --end-date: expected an ISO date like 2020-06-01, got '2020-06-31'"),
+        (["fit-epi", *EPI_FLAGS, "--seed", "-3"], 1, "error: seed must be an integer >= 0, got -3"),
     ], ids=["glr-without-box", "box-dimension", "no-threshold", "qq-too-few-alarms",
-            "too-few-prechange-days", "end-before-start", "bad-iso-date"])
+            "too-few-prechange-days", "end-before-start", "bad-iso-date", "fit-epi-negative-seed"])
     def test_refusal_exit_code_and_message(self, argv, code, message, tmp_path, capsys):
         seed = [] if argv[0].endswith("-epi") else ["--seed", "1", "--workers", "1"]
         out = tmp_path / "out"

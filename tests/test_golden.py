@@ -247,16 +247,31 @@ def frozen():
     return json.loads(GOLDEN.read_text())
 
 
+def _float_platform() -> str:
+    """numpy's version and the SIMD targets it dispatches to on this CPU, which a
+    float digest rests on: the ones found here, and those of its float64 exp,
+    log and power loops."""
+    try:
+        from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+    except ImportError:
+        return f"numpy {np.__version__}"
+    loops = opt_func_info(func_name="^(exp|log|power)$", signature="^float64")
+    current = ", ".join(f"{f} {v['current']}" for f, sigs in loops.items() for v in sigs.values())
+    found = " ".join(np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found", []))
+    return f"numpy {np.__version__}, SIMD targets found: {found or 'none'}; loops: {current}"
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_digests_unchanged(name, frozen, tmp_path):
     got = _compute(name, tmp_path)
     assert got["ints"] == frozen[name]["ints"], "integer outputs changed"
-    assert got["floats"] == frozen[name]["floats"], "float outputs changed"
+    assert got["floats"] == frozen[name]["floats"], f"float outputs changed ({_float_platform()})"
 
 
 @pytest.mark.parametrize("name", CLI_CASES)
 def test_cli_outputs_unchanged(name, frozen, tmp_path):
-    assert _compute(name, tmp_path) == frozen[name]
+    got = _compute(name, tmp_path)
+    assert got == frozen[name], f"outputs changed ({_float_platform()})"
 
 
 def test_cli_flags_unchanged(frozen):

@@ -265,6 +265,25 @@ def test_step_is_advance_then_the_two_pass_reduction(make, deep, model, stream, 
     assert det._hot == (hot and deep)
 
 
+class InfiniteGem(GemModel):
+    """Its scalar hook confirms t(x) = +inf, a true infinity, for x >= 1e300."""
+
+    def sufficient_stat(self, x):
+        return math.inf if x >= 1e300 else super().sufficient_stat(x)
+
+
+def test_infinite_statistic_steps_in_the_guarded_scope():
+    # at m = 10 no finite |s| can overflow the bank, so its bound on |s| is +inf;
+    # s = +inf still takes the guarded path, where 0 * inf at lag 0 warns nothing
+    det = WlCusum(InfiniteGem(0.1, 1e4, 0.4), 1e9, 10)
+    assert det._s_safe == math.inf
+    for _ in range(5):
+        det.step(1.0)
+    with pytest.raises(FloatingPointError, match="bank at step 6$"):
+        det.step(1e300)
+    assert det._hot
+
+
 def test_ordinary_data_stays_below_the_overflow_bound():
     det = FullCusum(DecayModel(2.0, 4.0, 0.2), 1e9)  # grows its tables five times
     for x in DecayModel(2.0, 4.0, 0.2).sample_segment(np.random.default_rng(7), 500, 1, 2000):

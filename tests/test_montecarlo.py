@@ -142,6 +142,24 @@ class TestRunTrials:
             assert (times[i], censored[i]) == (rec.time, rec.censored)
 
 
+class TestTrialSeeding:
+    """A batch seeds its trials in one pass, each as np.random.default_rng([seed, i]) does."""
+
+    # one to five entropy words with i: past four, SeedSequence mixes the extra words in
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**130 + 9,
+                                      np.int64(7)])
+    @pytest.mark.parametrize("start, stop",
+                             [(0, 40), (1000, 1064), (7, 10), (2**32 - 8, 2**32 + 8)],
+                             ids=["first-chunk", "later-chunk", "three", "two-word-index"])
+    def test_matches_default_rng(self, seed, start, stop):
+        rngs = montecarlo._trial_rngs(seed, start, stop)
+        assert len(rngs) == stop - start
+        for i, rng in zip(range(start, stop), rngs):
+            want = np.random.default_rng([seed, i])
+            assert rng.bit_generator.state == want.bit_generator.state
+            np.testing.assert_array_equal(rng.random(8), want.random(8))
+
+
 def _streamed(plan):
     """run_trials by the streaming reference: a fresh detector per trial, fed by _stream."""
     max_steps = plan.resolved_max_steps()
@@ -298,6 +316,7 @@ class TestLockstepMatchesStreaming:
             return scan(bank, lam, stats, narrow)
 
         monkeypatch.setattr(detectors._LagBank, "_scan", counted)
+        monkeypatch.setattr(montecarlo, "_SCAN_THIN", 0)  # no batch is thin: B bounds every scan
         cap = 119 if plan.window is None else plan.window + 1
         for steps in (1, cap - 1, cap, cap + 1, 512):
             scans.clear()
@@ -306,6 +325,27 @@ class TestLockstepMatchesStreaming:
             np.testing.assert_array_equal(times, want[0])
             np.testing.assert_array_equal(censored, want[1])
             assert scans and max(scans) <= steps
+
+    def test_thin_batches_scan_to_the_block_end(self, monkeypatch):
+        # 40 trials start wide; once fewer than _SCAN_THIN are live, a scan runs on
+        # up to 2 * _SCAN_STEPS steps, to the end of its 512-step block
+        plan = _plan(nu=math.inf, window=23, threshold=math.log(200), num_trials=40)
+        want = _streamed(plan)
+        scans, scan = [], detectors._LagBank._scan
+
+        def counted(bank, lam, stats, narrow):
+            scans.append(stats.shape)  # (steps, live trials)
+            return scan(bank, lam, stats, narrow)
+
+        monkeypatch.setattr(detectors._LagBank, "_scan", counted)
+        times, censored = run_trials(plan)
+        np.testing.assert_array_equal(times, want[0])
+        np.testing.assert_array_equal(censored, want[1])
+        steps, live = np.array(scans).T
+        thin = live < montecarlo._SCAN_THIN
+        assert not thin[0] and thin[-1]
+        assert steps[~thin].max() <= montecarlo._SCAN_STEPS < steps[thin].max()
+        assert steps.max() <= 2 * montecarlo._SCAN_STEPS
 
     def test_infinite_statistic_alarms(self):
         # 1e308 overflows the older hypotheses to +inf, which meets even b = inf
