@@ -12,16 +12,18 @@ of the onset and land near those numbers.
 """
 
 from datetime import date
+from pathlib import Path
 
 from wlcusum import fit_beta_prechange, fit_wave_shape, load_case_csv, monitor, to_fraction_series
 
-DATA = "demos/data/synthetic_county.csv"
+DATA = Path(__file__).parent / "data" / "synthetic_county.csv"
 POPULATION = 1_000_000
 MONITOR_FROM = date(2020, 7, 1)
 TRUE_ONSET = date(2020, 7, 21)
 TRUE_THETA = (0.464, 3.894, 0.445)
 THETA_BOX = ((0.1, 5.0), (1.0, 20.0), (0.1, 5.0))
 PRECHANGE_DAYS = 20
+RESTARTS = 8  # of the wave-shape fit
 
 
 def main():
@@ -55,7 +57,7 @@ def main():
     onset = raw.index(TRUE_ONSET)
     beta_raw = fit_beta_prechange(raw.slice(onset - PRECHANGE_DAYS, onset), PRECHANGE_DAYS)
     post = raw.slice(onset, len(raw.fractions))
-    fit = fit_wave_shape(post, beta_raw, THETA_BOX, restarts=8, seed=3)
+    fit = fit_wave_shape(post, beta_raw, THETA_BOX, restarts=RESTARTS, seed=3)
     print("\nwave-shape fit on the post-onset days:")
     for name, truth, got in zip(("height", "peak day", "width"), TRUE_THETA, fit.theta):
         print(f"  {name:>8}: fitted {got:.3f} vs true {truth:.3f}")

@@ -192,8 +192,8 @@ def window_size(curve: GrowthCurve, alpha: float, safety: float = 1.1) -> int:
     """
     alpha = _check_alpha(alpha)
     safety = float(safety)
-    if safety < 1.0:
-        raise ValueError(f"safety must be >= 1, got {safety}")
+    if not (math.isfinite(safety) and safety >= 1.0):  # NaN and inf cannot size a window
+        raise ValueError(f"safety must be a finite number >= 1, got {safety}")
     t = curve.growth_inverse(-math.log(alpha))
     return max(1, math.ceil(safety * t))
 

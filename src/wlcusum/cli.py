@@ -175,11 +175,13 @@ def _trial_plan(args, model, nu, alpha):
         # a one-row box is a scalar parameter: its grid points must be floats, not 1-tuples
         grid = theta_grid(box[0] if len(box) == 1 else box, _grid_counts(args, len(box)))
     b = _threshold(args, alpha, glr_inputs)
-    # built before the window, so a NaN b is refused before e^-b sizes one
+    # built before the window, so a NaN b is refused before e^-b sizes one; it takes
+    # --window as given, so full-cusum refuses one
     plan = TrialPlan(
         model=model,
         detector=args.detector,
         threshold=b,
+        window=args.window,
         grid=grid,
         nu=nu,
         num_trials=args.trials,

@@ -293,6 +293,8 @@ def fit_wave_shape(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    if not tol > 0:  # a sweep never grows the sum, so a tol <= 0 or NaN never converges
+        raise ValueError(f"tol must be > 0, got {tol}")
     y = np.asarray(series.fractions, dtype=float)
     if len(y) < 3:
         raise ValueError("need at least 3 days of data to fit a wave")

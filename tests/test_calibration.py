@@ -152,6 +152,9 @@ def test_window_size_validation():
         window_size(curve, 0.0)
     with pytest.raises(ValueError):
         window_size(curve, 1e-3, safety=0.5)
+    for safety in (math.nan, math.inf):  # ceil(safety * t) has no integer to give
+        with pytest.raises(ValueError, match=f"safety must be a finite number >= 1, got {safety}"):
+            window_size(curve, 1e-3, safety=safety)
 
 
 def test_gem_epsilon_frozen():

@@ -226,8 +226,19 @@ class TestArgumentErrors:
         (["fit-epi", *SYNTHETIC_COUNTY, "--end-date", "2020-06-31"], 2,
          "argument --end-date: expected an ISO date like 2020-06-01, got '2020-06-31'"),
         (["fit-epi", *EPI_FLAGS, "--seed", "-3"], 1, "error: seed must be an integer >= 0, got -3"),
+        # a descent never shrinks its sum by less than a tol <= 0: it would never converge
+        (["fit-epi", *EPI_FLAGS, "--tol", "0"], 1, "error: tol must be > 0, got 0.0"),
+        *[([command, *GEM, *nu, "--detector", "full-cusum", "--window", "5"], 1,
+           "error: full-cusum reads every hypothesis, got window 5")
+          for command, nu in [("estimate-add", ["--nu", "1", "--alpha", "1e-2"]),
+                              ("estimate-mtfa", ["--alpha", "1e-2"]),
+                              ("simulate-qq", ["--alpha", "1e-2"]),
+                              ("simulate-oc", ["--nu", "1", "--alphas", "1e-2"])]],
     ], ids=["glr-without-box", "box-dimension", "no-threshold", "qq-too-few-alarms",
-            "too-few-prechange-days", "end-before-start", "bad-iso-date", "fit-epi-negative-seed"])
+            "too-few-prechange-days", "end-before-start", "bad-iso-date", "fit-epi-negative-seed",
+            "fit-epi-zero-tol", "estimate-add-full-cusum-window",
+            "estimate-mtfa-full-cusum-window", "simulate-qq-full-cusum-window",
+            "simulate-oc-full-cusum-window"])
     def test_refusal_exit_code_and_message(self, argv, code, message, tmp_path, capsys):
         seed = [] if argv[0].endswith("-epi") else ["--seed", "1", "--workers", "1"]
         out = tmp_path / "out"

@@ -329,6 +329,14 @@ class TestFitWaveShape:
         assert hasattr(exc.value, "best")
         assert exc.value.best.residual < math.inf
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        # a sweep never grows the sum, so previous - current < tol would never hold
+        beta = _beta()
+        series = _wave_series(beta, COUNTY_THETA, days=12)
+        with pytest.raises(ValueError, match=f"tol must be > 0, got {tol}"):
+            fit_wave_shape(series, beta, COUNTY_BOX, restarts=1, tol=tol, max_iter=50)
+
     def test_box_validation(self):
         beta = _beta()
         series = _wave_series(beta, COUNTY_THETA, days=12)

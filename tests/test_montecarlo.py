@@ -1,10 +1,14 @@
 """Monte-Carlo harness: determinism, censoring, OC sweeps, geometric QQ."""
 
+import contextlib
 import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from unittest import mock
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -28,6 +32,7 @@ from wlcusum.montecarlo import (
 
 GEM = GemModel(0.1, 1e4, 0.4)
 COUNTY = BetaWaveModel(20.6, 2.94e5, (0.464, 3.894, 0.445))
+GLR_GEM = dict(detector="wl-glr", grid=np.linspace(0.1, 0.5, 5))
 
 
 def _stream(model, rng, nu, max_steps, block=_STREAM_BLOCK):
@@ -134,12 +139,9 @@ class TestRunTrials:
         times, censored = run_trials(plan)
         assert len(builds) == 1
         # the reused, reset detector stops where a fresh one per trial does
-        max_steps = plan.resolved_max_steps()
-        for i in range(plan.num_trials):
-            fresh = WlGlr(GEM, plan.threshold, plan.window, plan.grid)
-            stream = _stream(GEM, np.random.default_rng([plan.seed, i]), plan.nu, max_steps)
-            rec = run_until_alarm(fresh, stream, max_steps)
-            assert (times[i], censored[i]) == (rec.time, rec.censored)
+        want = _streamed(plan)
+        np.testing.assert_array_equal(times, want[0])
+        np.testing.assert_array_equal(censored, want[1])
 
 
 class TestTrialSeeding:
@@ -160,19 +162,31 @@ class TestTrialSeeding:
             np.testing.assert_array_equal(rng.random(8), want.random(8))
 
 
+def _alone(plan, i, max_steps):
+    """Trial i of plan run alone: a fresh detector fed by _stream, which reads no walk constant."""
+    stream = _stream(plan.model, np.random.default_rng([plan.seed, i]), plan.nu, max_steps)
+    record = run_until_alarm(montecarlo._build_detector(plan), stream, max_steps)
+    return record.time, record.censored
+
+
 def _streamed(plan):
-    """run_trials by the streaming reference: a fresh detector per trial, fed by _stream."""
+    """run_trials by the streaming reference, one trial alone at a time."""
     max_steps = plan.resolved_max_steps()
-    records = [
-        run_until_alarm(
-            montecarlo._build_detector(plan),
-            _stream(plan.model, np.random.default_rng([plan.seed, i]), plan.nu, max_steps),
-            max_steps,
-        )
-        for i in range(plan.num_trials)
-    ]
-    return (np.array([r.time for r in records], dtype=np.int64),
-            np.array([r.censored for r in records]))
+    times, censored = zip(*(_alone(plan, i, max_steps) for i in range(plan.num_trials)))
+    return np.array(times, dtype=np.int64), np.array(censored)
+
+
+@contextlib.contextmanager
+def _scans():
+    """Records each _LagBank._scan: (steps, live trials, whether every statistic is finite)."""
+    scans, scan = [], detectors._LagBank._scan
+
+    def counted(bank, lam, stats, narrow):
+        scans.append((*stats.shape, bool(np.isfinite(stats).all())))
+        return scan(bank, lam, stats, narrow)
+
+    with mock.patch.object(detectors._LagBank, "_scan", counted):
+        yield scans
 
 
 class _Spikes:
@@ -233,115 +247,144 @@ class SpikedWhenFirstPositive(GemModel):
         return out
 
 
+# The walk's constants, over values that force one-trial batches, steps, long scans, short blocks
+KNOBS = dict(_SCAN_STEPS=(1, 2, 7, 256), _SCAN_THIN=(0, 3, 16, 10**6), _BATCH_TRIALS=(1, 3, 1024),
+             _BATCH_ENTRIES=(1, 2**9, 2**15), _SCAN_ENTRIES=(0, 2**12, 2**21),
+             _STREAM_BLOCK=(7, 64, 512))
+DECAY = DecayModel(2.0, 4.0, 0.2)
+WAVE = BetaWaveModel(5.0, 20.0, (0.5, 10.0, 4.0))
+WAVE_GRID = theta_grid(((0.0, 1.0), (5.0, 15.0), (1.0, 5.0)), (2, 2, 2))
+
+
+@st.composite
+def _walks(draw):
+    """The plans of 1-4 operating points over one model, detector, change point and seed."""
+    # planted in every trial from a drawn step on: an overflow, a NaN bank, an off-support draw
+    spikes = st.sampled_from([(1e308,), (-1e308, 1e308), (math.nan,)])
+    spiked = st.builds(lambda theta, xs, n: SpikedGem(0.1, 1e4, theta, tuple(enumerate(xs, n))),
+                       st.sampled_from([0.4, 1.0]), spikes, st.integers(1, 60))
+    model = draw(st.one_of(st.sampled_from([GEM, DECAY, WAVE]), spiked))
+    detector = draw(st.sampled_from(["wl-cusum", "wl-glr", "full-cusum"]))
+    grid = WAVE_GRID if model is WAVE else np.linspace(0.1, 0.4, 3)
+    base = _plan(model=model, detector=detector, grid=grid if detector == "wl-glr" else None,
+                 nu=draw(st.sampled_from([math.inf, 1, 7])), num_trials=draw(st.integers(1, 40)),
+                 seed=draw(st.integers(0, 2**16)), window=None)
+    point = st.fixed_dictionaries(dict(
+        threshold=st.sampled_from([-1.0, 0.0, 2.0, 4.0, 6.0, 9.0, math.inf]),
+        window=st.none() if detector == "full-cusum" else st.integers(0, 40),
+        max_steps=st.integers(1, 150)))
+    return [replace(base, **p) for p in draw(st.lists(point, min_size=1, max_size=4))]
+
+
+def _hand_picked(test):
+    """The hand-picked walks, as examples: (plans, the constants they set)."""
+    fa = dict(nu=math.inf, window=23, threshold=math.log(100))
+    glr = dict(fa, threshold=math.log(300), num_trials=12, **GLR_GEM)
+    full = dict(detector="full-cusum", window=None)
+    def scan(steps):  # B bounds every scan: no batch is thin
+        return dict(_SCAN_STEPS=steps, _SCAN_THIN=0)
+
+    walks = [
+        # false-alarm runs: long, random lengths, several 512-step blocks; the full-history
+        # bank outgrows its initial 64-entry tables
+        ([_plan(**fa, num_trials=30)], {}),
+        ([_plan(**fa | full, num_trials=12)], {}),
+        ([_plan(**glr)], {}),
+        # delay runs, with pre-change steps when nu > 1
+        ([_plan(nu=1, threshold=math.log(1e3), window=25)], {}),
+        ([_plan(nu=30, model=DECAY, threshold=4.0, window=12)], {}),
+        ([_plan(nu=30, **full, threshold=math.log(1e3))], {}),
+        ([_plan(nu=8, model=WAVE, detector="wl-glr", window=20, threshold=5.0, max_steps=300,
+                grid=WAVE_GRID)], {}),
+        # censoring at an explicit cap that cuts the second block short
+        ([_plan(**fa | dict(threshold=8.0), max_steps=600, num_trials=15)], {}),
+        ([_plan(**fa | full | dict(threshold=8.0), max_steps=600, num_trials=6)], {}),
+        # a threshold <= 0 alarms on the first observation; the decay plan's first bank
+        # is negative, and the statistic 0 still meets b
+        ([_plan(**fa | dict(threshold=0.0), num_trials=5)], {}),
+        ([_plan(nu=math.inf, model=DECAY, window=12, threshold=0.0, num_trials=1)], {}),
+        ([_plan(**glr | dict(threshold=-1.0, num_trials=5))], {}),
+        # chunks split across two workers
+        ([_plan(**fa, num_trials=20, workers=2)], {}),
+        ([_plan(**glr, workers=2)], {}),
+        # sub-batches of 3 trials; the first grows the shared decay tables past 64 lags
+        ([_plan(**fa, num_trials=20)], dict(_BATCH_TRIALS=3)),
+        ([_plan(**glr)], dict(_BATCH_TRIALS=3)),
+        ([_plan(**fa | full, model=DECAY, num_trials=12)], dict(_BATCH_TRIALS=3)),
+        # three points, each with its own window or step cap
+        ([_plan(**fa, num_trials=12, max_steps=300), _plan(**fa, num_trials=12, max_steps=30),
+          _plan(nu=math.inf, window=5, threshold=math.log(50), num_trials=12, max_steps=45)],
+         dict(_BATCH_TRIALS=3)),
+        # scans of a bank's cap - 1, cap or cap + 1 steps, of 1 and of 512
+        ([_plan(**fa, num_trials=12)], scan(24)),
+        ([_plan(nu=30, window=23, threshold=math.log(1e3), num_trials=12)], scan(25)),
+        ([_plan(nu=math.inf, model=DECAY, window=12, threshold=4.0, num_trials=12)], scan(12)),
+        ([_plan(nu=30, model=DECAY, window=12, threshold=4.0, num_trials=12)], scan(1)),
+        # the second block's 88 steps cut a sub-block short, and every trial is censored
+        ([_plan(**fa | dict(threshold=8.0), max_steps=600, num_trials=12)], scan(512)),
+        # a full-history bank joins the scan once its cap stops at GEM's dead lag 119
+        ([_plan(**fa | full, model=GemModel(0.1, 1e4, 3.0), max_steps=600, num_trials=12)],
+         scan(118)),
+        # a full-history bank past its first cap of 64 lags: its oldest hypotheses, the
+        # true ones here, decide the alarms after step 64
+        ([_plan(**full, model=DECAY, threshold=9.0, num_trials=6, seed=0, max_steps=68)], {}),
+        # a cap inside a scan: trial 5 alarms at step 18, past the first point's cap of 17
+        ([_plan(**fa | dict(threshold=2.0), num_trials=12, seed=0, max_steps=cap)
+          for cap in (17, 300)], {}),
+        # a scan stops before the off-support draw at step 40, which one step refuses
+        ([_plan(**fa | dict(threshold=math.inf), num_trials=3, max_steps=50,
+                model=SpikedGem(0.1, 1e4, 0.4, ((40, math.nan),)))], {}),
+        # every batch is thin: scans of 2B = 4 rows
+        ([_plan(**fa, num_trials=3, max_steps=100)], dict(_SCAN_STEPS=2, _SCAN_THIN=10**6)),
+    ]
+    for plans, knobs in walks:
+        test = hypothesis.example(plans, knobs)(test)
+    return test
+
+
+@_hand_picked
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(_walks(),
+                  st.fixed_dictionaries({k: st.sampled_from(v) for k, v in KNOBS.items()}))
+def test_walk_rows_are_plans_run_alone(plans, knobs):
+    """Under any walk constants each row of a shared run is its plan run alone, the run
+    refuses iff some (plan, trial) alone does, with one of their refusals, and a scan takes
+    at most B = _SCAN_STEPS rows (2B below _SCAN_THIN live trials), all finite."""
+    knobs = {k: getattr(montecarlo, k) for k in KNOBS} | knobs
+    want, refusals = [], set()
+    for plan in plans:
+        max_steps, row = plan.resolved_max_steps(), []
+        for i in range(plan.num_trials):
+            try:
+                row.append(_alone(plan, i, max_steps))
+            except (SupportError, FloatingPointError) as err:  # a walk's NaN names its trial
+                refusals.add((type(err), str(err).replace(" at step", f" of trial {i} at step")))
+        want.append(row)
+    with mock.patch.multiple(montecarlo, **knobs), _scans() as scans:
+        try:
+            times, censored = montecarlo._run(plans)
+        except (SupportError, FloatingPointError) as err:
+            assert (type(err), str(err)) in refusals
+        else:
+            assert not refusals
+            assert [list(zip(*row)) for row in zip(times.tolist(), censored.tolist())] == want
+    for rows, live, finite in scans:
+        assert finite and rows <= knobs["_SCAN_STEPS"] * (2 if live < knobs["_SCAN_THIN"] else 1)
+
+
 class TestLockstepMatchesStreaming:
     """Lockstep batches give the stopping times of one trial at a time, bit for bit."""
 
-    @pytest.mark.parametrize("kw", [
-        # false-alarm runs: long, random lengths, several 512-step blocks
-        dict(nu=math.inf, window=23, threshold=math.log(100), num_trials=30),
-        dict(nu=math.inf, detector="full-cusum", window=None, threshold=math.log(100),
-             num_trials=12),  # outgrows the initial 64-entry tables
-        dict(nu=math.inf, detector="wl-glr", grid=np.linspace(0.1, 0.5, 5), window=23,
-             threshold=math.log(300), num_trials=12),
-        # delay runs, with pre-change steps when nu > 1
-        dict(nu=1, threshold=math.log(1e3), window=25),
-        dict(nu=30, model=DecayModel(2.0, 4.0, 0.2), threshold=4.0, window=12),
-        dict(nu=30, detector="full-cusum", window=None, threshold=math.log(1e3)),
-        dict(nu=8, model=BetaWaveModel(5.0, 20.0, (0.5, 10.0, 4.0)), detector="wl-glr",
-             window=20, threshold=5.0, max_steps=300,
-             grid=theta_grid(((0.0, 1.0), (5.0, 15.0), (1.0, 5.0)), (2, 2, 2))),
-        # censoring at an explicit cap that cuts the second block short
-        dict(nu=math.inf, window=23, threshold=8.0, max_steps=600, num_trials=15),
-        dict(nu=math.inf, detector="full-cusum", window=None, threshold=8.0, max_steps=600,
-             num_trials=6),
-        # a threshold <= 0 alarms on the first observation
-        dict(nu=math.inf, window=23, threshold=0.0, num_trials=5),
-        dict(nu=math.inf, model=DecayModel(2.0, 4.0, 0.2), window=12, threshold=0.0,
-             num_trials=1),  # its first bank is negative; the statistic 0 still meets b
-        dict(nu=math.inf, detector="wl-glr", grid=np.linspace(0.1, 0.5, 5), window=23,
-             threshold=-1.0, num_trials=5),
-        # chunks split across two workers
-        dict(nu=math.inf, window=23, threshold=math.log(100), num_trials=20, workers=2),
-        dict(nu=math.inf, detector="wl-glr", grid=np.linspace(0.1, 0.5, 5), window=23,
-             threshold=math.log(300), num_trials=12, workers=2),
-    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()
-                               if k in ("detector", "nu", "max_steps", "workers")))
-    def test_bit_identical(self, kw):
-        plan = _plan(**kw)
-        times, censored = run_trials(plan)
-        want_times, want_censored = _streamed(plan)
-        np.testing.assert_array_equal(times, want_times)
-        np.testing.assert_array_equal(censored, want_censored)
-        assert len(set(times.tolist())) > 1 or plan.threshold <= 0 or censored.all()
-
-    @pytest.mark.parametrize("plans", [
-        [_plan(nu=math.inf, window=23, threshold=math.log(100), num_trials=20)],
-        # the grid path: one step at a time
-        [_plan(nu=math.inf, detector="wl-glr", grid=np.linspace(0.1, 0.5, 5), window=23,
-               threshold=math.log(300), num_trials=12)],
-        # the first sub-batch grows the shared tables past 64 lags for the next ones
-        [_plan(nu=math.inf, model=DecayModel(2.0, 4.0, 0.2), detector="full-cusum",
-               window=None, threshold=math.log(100), num_trials=12)],
-        # three points, each with its own window or step cap
-        [_plan(nu=math.inf, window=23, threshold=math.log(100), num_trials=12, max_steps=300),
-         _plan(nu=math.inf, window=23, threshold=math.log(100), num_trials=12, max_steps=30),
-         _plan(nu=math.inf, window=5, threshold=math.log(50), num_trials=12, max_steps=45)],
-    ], ids=["scan", "grid", "full-cusum-grows", "three-points"])
-    def test_batch_size_does_not_change_results(self, monkeypatch, plans):
-        whole = montecarlo._run(plans)
-        monkeypatch.setattr(montecarlo, "_BATCH_TRIALS", 3)
-        split = montecarlo._run(plans)
-        np.testing.assert_array_equal(whole[0], split[0])
-        np.testing.assert_array_equal(whole[1], split[1])
-
-    @pytest.mark.parametrize("kw", [
-        dict(nu=math.inf, window=23, threshold=math.log(100)),
-        dict(nu=30, window=23, threshold=math.log(1e3)),
-        dict(nu=math.inf, model=DecayModel(2.0, 4.0, 0.2), window=12, threshold=4.0),
-        dict(nu=30, model=DecayModel(2.0, 4.0, 0.2), window=12, threshold=4.0),
-        # the second block's 88 steps cut a sub-block short, and every trial is censored
-        dict(nu=math.inf, window=23, threshold=8.0, max_steps=600),
-        # a full-history bank joins the scan once its cap stops at GEM's dead lag 119
-        dict(nu=math.inf, model=GemModel(0.1, 1e4, 3.0), detector="full-cusum", window=None,
-             threshold=math.log(100), max_steps=600),
-    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()
-                               if k in ("detector", "nu", "window", "max_steps")))
-    def test_scan_length_does_not_change_results(self, monkeypatch, kw):
-        plan = _plan(num_trials=12, **kw)
-        want = _streamed(plan)
-        scans, scan = [], detectors._LagBank._scan
-
-        def counted(bank, lam, stats, narrow):
-            scans.append(len(stats))
-            return scan(bank, lam, stats, narrow)
-
-        monkeypatch.setattr(detectors._LagBank, "_scan", counted)
-        monkeypatch.setattr(montecarlo, "_SCAN_THIN", 0)  # no batch is thin: B bounds every scan
-        cap = 119 if plan.window is None else plan.window + 1
-        for steps in (1, cap - 1, cap, cap + 1, 512):
-            scans.clear()
-            monkeypatch.setattr(montecarlo, "_SCAN_STEPS", steps)
-            times, censored = run_trials(plan)
-            np.testing.assert_array_equal(times, want[0])
-            np.testing.assert_array_equal(censored, want[1])
-            assert scans and max(scans) <= steps
-
-    def test_thin_batches_scan_to_the_block_end(self, monkeypatch):
+    def test_thin_batches_scan_to_the_block_end(self):
         # 40 trials start wide; once fewer than _SCAN_THIN are live, a scan runs on
         # up to 2 * _SCAN_STEPS steps, to the end of its 512-step block
         plan = _plan(nu=math.inf, window=23, threshold=math.log(200), num_trials=40)
         want = _streamed(plan)
-        scans, scan = [], detectors._LagBank._scan
-
-        def counted(bank, lam, stats, narrow):
-            scans.append(stats.shape)  # (steps, live trials)
-            return scan(bank, lam, stats, narrow)
-
-        monkeypatch.setattr(detectors._LagBank, "_scan", counted)
-        times, censored = run_trials(plan)
+        with _scans() as scans:
+            times, censored = run_trials(plan)
         np.testing.assert_array_equal(times, want[0])
         np.testing.assert_array_equal(censored, want[1])
-        steps, live = np.array(scans).T
+        steps, live, _ = np.array(scans).T
         thin = live < montecarlo._SCAN_THIN
         assert not thin[0] and thin[-1]
         assert steps[~thin].max() <= montecarlo._SCAN_STEPS < steps[thin].max()
@@ -735,7 +778,6 @@ class TestOperatingCharacteristic:
         assert int(got[0]["window"]) == rows[0].window
 
 
-GLR_GEM = dict(detector="wl-glr", grid=np.linspace(0.1, 0.5, 5))
 GLR_INPUTS = GlrThresholdInputs(alpha=1e-2, theta_volume=0.4, dim=1, epsilon=5.5)
 
 
