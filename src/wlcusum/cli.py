@@ -195,8 +195,24 @@ def _trial_plan(args, model, nu, alpha):
 
 
 def _write_json(path: Path, payload, written: list) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+    path.write_text(_json(payload) + "\n")
     written.append(path)
+
+
+def _json(payload) -> str:
+    """Strict JSON: a non-finite float (an inf stderr or bound) is written as null."""
+    return json.dumps(_finite(payload), indent=2, sort_keys=True, default=_json_default,
+                      allow_nan=False)
+
+
+def _finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def _json_default(obj):
@@ -657,7 +673,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(out_dir, args, written, time.perf_counter() - started)
-    print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
+    print(_json(payload))
     return 0
 
 

@@ -147,8 +147,6 @@ class _LagBank:
     _points = (None,)  # theta_hat of each bank column: none without a grid
 
     def __init__(self, model: ObservationModel, threshold: float, window: int | None, grid=None):
-        if window is not None and window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
         self.model = model
         self.threshold = float(threshold)
         if math.isnan(self.threshold):  # a NaN b never alarms; +-inf are valid
@@ -299,6 +297,17 @@ class _LagBank:
                               self._points[column])
 
 
+def _whole_window(window) -> int:
+    """window as an int: a whole number >= 0 (4.0 is one), else ValueError naming it."""
+    try:
+        whole = float(window).is_integer() and window >= 0
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ValueError(f"window must be a whole number >= 0, got {window!r}")
+    return int(window)
+
+
 class WlCusum(_LagBank):
     """Window-limited CuSum: max over hypotheses k in {max(1, n-m) .. n}.
 
@@ -307,7 +316,7 @@ class WlCusum(_LagBank):
     """
 
     def __init__(self, model: ObservationModel, threshold: float, window: int):
-        super().__init__(model, threshold, int(window))
+        super().__init__(model, threshold, _whole_window(window))
 
     def hypotheses(self) -> list[tuple[int, float]]:
         """Active (k, lambda_{n,k}) pairs, newest hypothesis first."""
@@ -386,7 +395,7 @@ class WlGlr(_LagBank):
         # theta_hat as a float or a tuple of floats, without a numpy row per step
         points = grid.tolist()
         self._points = points if grid.ndim == 1 else list(map(tuple, points))
-        super().__init__(model, threshold, int(window), grid)
+        super().__init__(model, threshold, _whole_window(window), grid)
 
     step = _LagBank.step
 

@@ -193,6 +193,9 @@ def lemma1_diagnostics(
     n_max = int(n_max)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+    shift_max = int(shift_max)
+    if shift_max < 1:
+        raise ValueError(f"shift_max must be >= 1, got {shift_max}")
     curve = GrowthCurve(model)
     variances = np.array([model.llr_variance(lag) for lag in range(n_max)])
     ns = np.arange(2, n_max + 1)

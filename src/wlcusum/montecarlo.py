@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import GlrThresholdInputs, cusum_threshold, window_size
-from .detectors import FullCusum, WlCusum, WlGlr
+from .detectors import FullCusum, WlCusum, WlGlr, _whole_window
 from .growth import GrowthCurve
 from .models import ObservationModel
 
@@ -124,6 +124,8 @@ class TrialPlan:
             raise ValueError(f"nu must be an integer >= 1 or math.inf, got {self.nu}")
         if self.detector == "full-cusum" and self.window is not None:
             raise ValueError(f"full-cusum reads every hypothesis, got window {self.window}")
+        if self.window is not None:  # refused here, not at the first detector build
+            object.__setattr__(self, "window", _whole_window(self.window))
         for name in ("num_trials", "workers"):  # whole numbers, as nu: 1000.0 is one
             value = getattr(self, name)
             if not (float(value).is_integer() and value >= 1):

@@ -1,14 +1,13 @@
 """GLR thresholds drawn at random: the library's Brent solver is scipy's, bit for bit."""
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 from scipy.optimize import brentq
 
 from test_scipy_copies import brentq_outcome
 
 from wlcusum import calibration
-
-hypothesis = pytest.importorskip("hypothesis")
-st = pytest.importorskip("hypothesis.strategies")
 
 
 def _powers_of_ten(lo, hi):

@@ -228,6 +228,8 @@ class TestArgumentErrors:
         (["fit-epi", *EPI_FLAGS, "--seed", "-3"], 1, "error: seed must be an integer >= 0, got -3"),
         # a descent never shrinks its sum by less than a tol <= 0: it would never converge
         (["fit-epi", *EPI_FLAGS, "--tol", "0"], 1, "error: tol must be > 0, got 0.0"),
+        (["diagnostics", *GEM, "--shift-max", "0", "--n-max", "5", "--x-max", "10"], 1,
+         "error: shift_max must be >= 1, got 0"),
         *[([command, *GEM, *nu, "--detector", "full-cusum", "--window", "5"], 1,
            "error: full-cusum reads every hypothesis, got window 5")
           for command, nu in [("estimate-add", ["--nu", "1", "--alpha", "1e-2"]),
@@ -236,11 +238,12 @@ class TestArgumentErrors:
                               ("simulate-oc", ["--nu", "1", "--alphas", "1e-2"])]],
     ], ids=["glr-without-box", "box-dimension", "no-threshold", "qq-too-few-alarms",
             "too-few-prechange-days", "end-before-start", "bad-iso-date", "fit-epi-negative-seed",
-            "fit-epi-zero-tol", "estimate-add-full-cusum-window",
+            "fit-epi-zero-tol", "diagnostics-zero-shift-max", "estimate-add-full-cusum-window",
             "estimate-mtfa-full-cusum-window", "simulate-qq-full-cusum-window",
             "simulate-oc-full-cusum-window"])
     def test_refusal_exit_code_and_message(self, argv, code, message, tmp_path, capsys):
-        seed = [] if argv[0].endswith("-epi") else ["--seed", "1", "--workers", "1"]
+        seedless = argv[0].endswith("-epi") or argv[0] == "diagnostics"
+        seed = [] if seedless else ["--seed", "1", "--workers", "1"]
         out = tmp_path / "out"
         try:
             got = main([*argv, *seed, "--out", str(out)])
@@ -356,6 +359,16 @@ class TestEstimateMtfa:
         trials = (out / "mtfa_trials.csv").read_text().splitlines()
         assert len(trials) == 7  # header + one row per trial
         assert (out / "mtfa_summary.json").exists()
+
+    def test_writes_strict_json(self, tmp_path, capsys):
+        # one trial has no standard error: +inf, which strict JSON writes as null
+        out = tmp_path / "out"
+        code, payload, _ = _run(capsys, ["estimate-mtfa", *GEM, "--alpha", "1e-2", "--window",
+                                         "25", "--trials", "1", "--seed", "1", "--workers", "1",
+                                         "--out", str(out)])
+        assert code == 0 and payload["mtfa"]["stderr"] is None
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {path}"))
 
 
 class TestSimulateOc:

@@ -1,6 +1,7 @@
 """Streaming detectors against direct recomputation and textbook recursions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,8 +147,13 @@ class TestWlCusumStepByStep:
 
     def test_constructor_validation(self):
         model = GemModel(0.1, 1e4, 0.4)
-        with pytest.raises(ValueError):
-            WlCusum(model, threshold=1.0, window=-1)
+        for window in (-1, 2.5, math.nan, None):
+            message = re.escape(f"window must be a whole number >= 0, got {window!r}")
+            with pytest.raises(ValueError, match=message):
+                WlCusum(model, 1.0, window)
+            with pytest.raises(ValueError, match=message):
+                WlGlr(model, 1.0, window, [0.4])
+        assert WlCusum(model, 1.0, 4.0).window == 4
 
 
 @pytest.mark.parametrize(

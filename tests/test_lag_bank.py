@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
+from conftest import ShiftModel
+
 from wlcusum import detectors
 from wlcusum.detectors import FullCusum, SrStatistic, WlCusum, WlGlr, theta_grid
 from wlcusum.models import BetaWaveModel, DecayModel, GemModel
@@ -289,6 +291,16 @@ def test_ordinary_data_stays_below_the_overflow_bound():
     for x in DecayModel(2.0, 4.0, 0.2).sample_segment(np.random.default_rng(7), 500, 1, 2000):
         det.step(x)
     assert not det._hot and det._s_safe > 1e290
+
+
+def test_the_overflow_bound_counts_what_the_bank_holds():
+    # each s just below the bound of an empty bank with the current cap: the entries of a
+    # full-history bank keep growing through its table doublings, and it must step hot
+    # before any of them overflows (about step 4,030 if the bound left them out)
+    det = FullCusum(ShiftModel(1.0), math.inf)
+    for n in range(1, 4097):
+        det.step(0.999 * detectors._ROOM / max(64, 1 << (n - 1).bit_length()))
+    assert det._hot and np.isfinite(det._lam).all()
 
 
 def test_full_cusum_on_gem_is_window_limited_at_the_dead_lag():

@@ -336,6 +336,18 @@ def _hand_picked(test):
                 model=SpikedGem(0.1, 1e4, 0.4, ((40, math.nan),)))], {}),
         # every batch is thin: scans of 2B = 4 rows
         ([_plan(**fa, num_trials=3, max_steps=100)], dict(_SCAN_STEPS=2, _SCAN_THIN=10**6)),
+        # b = inf: only the +inf entries of GEM's post-change overflow alarm, past step 900,
+        # with no overflow warning
+        *[([_plan(threshold=math.inf, num_trials=3, seed=5, max_steps=1000, **kw)], {})
+          for kw in (dict(window=2000), full)],
+        # at theta = 2 the draws near lag 340 overflow slope * s in a window-23 bank, so a
+        # scan past the first 256 steps meets the overflow
+        ([_plan(model=GemModel(0.1, 1e4, 2.0), threshold=math.inf, window=23, num_trials=3,
+                seed=5, max_steps=355)], {}),
+        # full-history banks step through their cut at a dead lag equal to the old cap
+        *[([_plan(**full, model=GemModel(0.1, 1e4, theta), threshold=8.0, nu=dead + 50,
+                  num_trials=6, seed=3, max_steps=dead + 150)], {})
+          for theta, dead in ((0.694, 512), (1.387, 256))],
     ]
     for plans, knobs in walks:
         test = hypothesis.example(plans, knobs)(test)
@@ -631,13 +643,18 @@ class TestPlanValidation:
         (dict(num_trials=2.7), "num_trials must be a whole number >= 1, got 2.7"),
         (dict(workers=1.5), "workers must be a whole number >= 1, got 1.5"),
         (dict(max_steps=2.5), "max_steps must be a whole number >= 1, got 2.5"),
-    ], ids=["negative-seed", "float-seed", "num-trials", "workers", "max-steps"])
+        (dict(window=2.5), "window must be a whole number >= 0, got 2.5"),
+        (dict(window=math.nan), "window must be a whole number >= 0, got nan"),
+        (dict(window=-1), "window must be a whole number >= 0, got -1"),
+    ], ids=["negative-seed", "float-seed", "num-trials", "workers", "max-steps",
+            "fraction-window", "nan-window", "negative-window"])
     def test_names_a_bad_seed_or_count(self, kw, message):
         with pytest.raises(ValueError, match=message):
             run_trials(_plan(**kw))
         # a count is a whole number, as nu is: 4.0 is one
-        plan = _plan(threshold=1e9, num_trials=4.0, workers=1.0, max_steps=5.0)
+        plan = _plan(threshold=1e9, num_trials=4.0, workers=1.0, max_steps=5.0, window=3.0)
         np.testing.assert_array_equal(run_trials(plan)[0], [5] * 4)
+        assert plan.window == 3 and type(plan.window) is int
 
     def test_nan_threshold(self):
         with pytest.raises(ValueError, match="threshold must be a number or \\+-inf, got nan"):
