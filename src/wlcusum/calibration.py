@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .growth import GrowthCurve
+from .models import _NONNEGATIVE, _POSITIVE, _Range, _count
 
 __all__ = [
     "CalibrationError",
@@ -98,23 +99,17 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     raise CalibrationError(f"Failed to converge after 100 iterations, value is {xcur}.")
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
+_ALPHA = _Range(0, 1)
 
 
 def cusum_threshold(alpha: float) -> float:
     """Threshold b = |ln alpha| giving mean time to false alarm >= 1/alpha."""
-    return -math.log(_check_alpha(alpha))
+    return -math.log(_ALPHA.check("alpha", alpha))
 
 
 def unit_ball_volume(dim: int) -> float:
     """Volume of the unit ball in R^dim: pi^{d/2} / Gamma(1 + d/2)."""
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _count("dim", dim, 1)
     try:
         return math.pi ** (dim / 2.0) / math.gamma(1.0 + dim / 2.0)
     except OverflowError:
@@ -138,14 +133,11 @@ def glr_threshold(alpha: float, theta_volume: float, dim: int, epsilon: float) -
     Raises CalibrationError when the equation has no root with b > 1, which
     happens when epsilon (or alpha) is too large for the parameter box.
     """
-    alpha = _check_alpha(alpha)
-    theta_volume = float(theta_volume)
-    if not (0.0 < theta_volume < math.inf):  # also rejects NaN
-        raise ValueError(f"theta_volume must be finite and > 0, got {theta_volume}")
-    epsilon = float(epsilon)
-    if not (0.0 <= epsilon < math.inf):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    c = epsilon * int(dim) / 2.0
+    alpha = _ALPHA.check("alpha", alpha)
+    theta_volume = _POSITIVE.check("theta_volume", theta_volume)
+    epsilon = _NONNEGATIVE.check("epsilon", epsilon)
+    dim = _count("dim", dim, 1)
+    c = epsilon * dim / 2.0
     rhs = 1.0 + math.log(theta_volume / unit_ball_volume(dim)) - math.log(alpha)
     if c == 0.0:
         b = rhs
@@ -179,7 +171,7 @@ def glr_threshold_residual(
     b: float, alpha: float, theta_volume: float, dim: int, epsilon: float
 ) -> float:
     """Absolute residual of the GLR threshold equation at b."""
-    c = float(epsilon) * int(dim) / 2.0
+    c = float(epsilon) * _count("dim", dim, 1) / 2.0
     rhs = 1.0 + math.log(float(theta_volume) / unit_ball_volume(dim)) - math.log(float(alpha))
     return abs(b - c * math.log(b) - rhs)
 
@@ -190,10 +182,8 @@ def window_size(curve: GrowthCurve, alpha: float, safety: float = 1.1) -> int:
     The window must reach back far enough that a hypothesis started at the true
     change point can accumulate threshold-crossing drift before being evicted.
     """
-    alpha = _check_alpha(alpha)
-    safety = float(safety)
-    if not (math.isfinite(safety) and safety >= 1.0):  # NaN and inf cannot size a window
-        raise ValueError(f"safety must be a finite number >= 1, got {safety}")
+    alpha = _ALPHA.check("alpha", alpha)
+    safety = _Range(1, closed=True).check("safety", safety)
     t = curve.growth_inverse(-math.log(alpha))
     return max(1, math.ceil(safety * t))
 
@@ -205,9 +195,7 @@ def gem_epsilon(theta_min: float, theta_max: float, delta: float = 0.1) -> float
     box's top edge outpaces the bottom edge by at most this factor over the
     window lengths that matter, which is what the GLR threshold equation needs.
     """
-    theta_min, theta_max, delta = float(theta_min), float(theta_max), float(delta)
-    if not (0.0 < theta_min <= theta_max):
-        raise ValueError(f"need 0 < theta_min <= theta_max, got ({theta_min}, {theta_max})")
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    theta_min = _POSITIVE.check("theta_min", theta_min)
+    theta_max = _Range(theta_min, closed=True).check("theta_max", theta_max)
+    delta = _NONNEGATIVE.check("delta", delta)
     return (1.0 + delta) * theta_max / theta_min

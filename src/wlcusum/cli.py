@@ -362,19 +362,26 @@ def _cmd_simulate_qq(args, out_dir, written):
 def _cmd_estimate_mtfa(args, out_dir, written):
     model = _build_model_from_args(args)
     plan, _ = _trial_plan(args, model, math.inf, args.alpha)
-    # --threshold overrides --alpha, so the cost follows b; --alpha alone is kept as given,
-    # since e^-|ln alpha| can differ from it in the last bit
-    alpha_eff = args.alpha if args.threshold is None else math.exp(-plan.threshold)
-    if alpha_eff < _MTFA_ALPHA_FLOOR and not args.force:
+    # --threshold overrides --alpha, so the cost follows e^b (+inf where it overflows,
+    # not 1 / e^-b, which divides by 0 there); --alpha alone keeps 1/alpha as given,
+    # since e^|ln alpha| can differ from it in the last bit
+    if args.threshold is None:
+        target = 1.0 / args.alpha
+    else:
+        try:
+            target = math.exp(plan.threshold)
+        except OverflowError:
+            target = math.inf
+    if target > 1.0 / _MTFA_ALPHA_FLOOR and not args.force:
         raise ValueError(
-            f"MTFA estimation at alpha={alpha_eff:.3g} needs on the order of "
-            f"{1 / alpha_eff:.0f} observations per trial; pass --force to run anyway"
+            f"MTFA estimation at alpha={1.0 / target:.3g} needs on the order of "
+            f"{target:.0f} observations per trial; pass --force to run anyway"
         )
     times, censored = run_trials(plan)
     est = estimate_mtfa(plan, results=(times, censored))
     _write_trials(out_dir / "mtfa_trials.csv", times, censored, written)
     payload = {"mtfa": _delay_dict(est), "threshold": plan.threshold, "window": plan.window,
-               "target_lower_bound": 1.0 / alpha_eff}
+               "target_lower_bound": target}
     _write_json(out_dir / "mtfa_summary.json", payload, written)
     return payload
 

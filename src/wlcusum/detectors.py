@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .models import ObservationModel
+from .models import ObservationModel, _count
 
 __all__ = [
     "DetectorOutput",
@@ -297,17 +297,6 @@ class _LagBank:
                               self._points[column])
 
 
-def _whole_window(window) -> int:
-    """window as an int: a whole number >= 0 (4.0 is one), else ValueError naming it."""
-    try:
-        whole = float(window).is_integer() and window >= 0
-    except (TypeError, ValueError):
-        whole = False
-    if not whole:
-        raise ValueError(f"window must be a whole number >= 0, got {window!r}")
-    return int(window)
-
-
 class WlCusum(_LagBank):
     """Window-limited CuSum: max over hypotheses k in {max(1, n-m) .. n}.
 
@@ -316,7 +305,7 @@ class WlCusum(_LagBank):
     """
 
     def __init__(self, model: ObservationModel, threshold: float, window: int):
-        super().__init__(model, threshold, _whole_window(window))
+        super().__init__(model, threshold, _count("window", window, 0))
 
     def hypotheses(self) -> list[tuple[int, float]]:
         """Active (k, lambda_{n,k}) pairs, newest hypothesis first."""
@@ -360,11 +349,11 @@ def theta_grid(bounds, counts) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"bounds must be (lo, hi) or a sequence of pairs, got {bounds!r}")
     d = arr.shape[0]
-    if np.isscalar(counts) or isinstance(counts, (int, np.integer)):
-        counts = [int(counts)] * d
-    counts = [int(c) for c in counts]
-    if len(counts) != d or any(c < 1 for c in counts):
-        raise ValueError(f"counts must give >= 1 points per dimension, got {counts!r}")
+    if np.ndim(counts) == 0:
+        counts = [counts] * d
+    if len(counts) != d:
+        raise ValueError(f"counts must give one count for each of {d} dimensions, got {counts!r}")
+    counts = [_count("counts", c, 1) for c in counts]
     axes = []
     for (lo, hi), c in zip(arr, counts):
         if not (lo < hi):
@@ -395,7 +384,7 @@ class WlGlr(_LagBank):
         # theta_hat as a float or a tuple of floats, without a numpy row per step
         points = grid.tolist()
         self._points = points if grid.ndim == 1 else list(map(tuple, points))
-        super().__init__(model, threshold, _whole_window(window), grid)
+        super().__init__(model, threshold, _count("window", window, 0), grid)
 
     step = _LagBank.step
 
@@ -443,9 +432,7 @@ def run_until_alarm(detector, observations, max_steps: int | None = None) -> Sto
     means the stream ran out (or max_steps was hit) without an alarm.
     """
     if max_steps is not None:
-        max_steps = int(max_steps)
-        if max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+        max_steps = _count("max_steps", max_steps, 1)
     steps = 0
     statistic = 0.0
     for x in observations:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .calibration import glr_threshold
 from .detectors import DetectorOutput, WlGlr, theta_grid
-from .models import BetaWaveModel, wave_multiplier
+from .models import _POSITIVE, _WAVE, BetaWaveModel, _count, _wave
 
 __all__ = [
     "CaseSeries",
@@ -48,8 +48,7 @@ class CaseSeries:
     def __post_init__(self):
         if len(self.dates) != len(self.counts):
             raise ValueError("dates and counts must have equal length")
-        if not (self.population > 0):
-            raise ValueError(f"population must be > 0, got {self.population}")
+        _POSITIVE.check("population", self.population)
         if np.any(np.asarray(self.counts) < 0):
             raise ValueError("daily counts must be >= 0")
 
@@ -157,9 +156,9 @@ def to_fraction_series(series: CaseSeries, window: int = 4) -> FractionSeries:
     Output has length len(series) - window + 1; each output day is stamped
     with the last date of its averaging window.
     """
-    window = int(window)
-    if not (1 <= window <= len(series.counts)):
-        raise ValueError(f"window must lie in [1, {len(series.counts)}], got {window}")
+    window = _count("window", window, 1)
+    if window > len(series.counts):
+        raise ValueError(f"window={window} exceeds the {len(series.counts)}-day series")
     ma = np.convolve(series.counts, np.ones(window) / window, mode="valid")
     fractions = ma / series.population
     if np.any(fractions > 1.0):
@@ -192,9 +191,7 @@ def fit_beta_prechange(series: FractionSeries, window_days: int = 20) -> BetaFit
     the sample variance, c = m(1-m)/v - 1 and (a0, b0) = (m c, (1-m) c); the
     fitted Beta reproduces m and v exactly.
     """
-    window_days = int(window_days)
-    if window_days < 2:
-        raise ValueError(f"window_days must be >= 2, got {window_days}")
+    window_days = _count("window_days", window_days, 2)
     if window_days > len(series.fractions):
         raise ValueError(
             f"window_days={window_days} exceeds the {len(series.fractions)}-day series"
@@ -254,16 +251,14 @@ def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _check_theta_box(theta_bounds) -> np.ndarray:
+    """theta_bounds as a (3, 2) float array of (lo, hi) pairs, lo < hi, each end in
+    its wave parameter's range; a box whose ends are waves holds only waves."""
     box = np.asarray(theta_bounds, dtype=float)
     if box.shape != (3, 2):
         raise ValueError(f"theta bounds must be three (lo, hi) pairs, got {theta_bounds!r}")
     if np.any(box[:, 0] >= box[:, 1]):
         raise ValueError(f"every theta interval needs lo < hi, got {box.tolist()}")
-    if box[0, 0] < 0 or box[1, 0] < 0 or box[2, 0] <= 0:
-        raise ValueError(
-            "theta0 and theta1 must start >= 0 and theta2 > 0, got "
-            f"{box.tolist()}"
-        )
+    _WAVE.check("theta box", box.T)  # the lo ends, then the hi ends, as two points
     return box
 
 
@@ -288,20 +283,20 @@ def fit_wave_shape(
     not matter).
     """
     box = _check_theta_box(theta_bounds)
-    restarts = int(restarts)
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    restarts, max_iter = _count("restarts", restarts, 1), _count("max_iter", max_iter, 0)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
-    if not tol > 0:  # a sweep never grows the sum, so a tol <= 0 or NaN never converges
-        raise ValueError(f"tol must be > 0, got {tol}")
+    # a sweep never grows the sum, so a tol <= 0 never converges
+    tol = _POSITIVE.check("tol", tol)
     y = np.asarray(series.fractions, dtype=float)
     if len(y) < 3:
         raise ValueError("need at least 3 days of data to fit a wave")
     lags = np.arange(len(y), dtype=float)
 
     def loss(theta) -> float:
-        a1 = beta.a0 * wave_multiplier(tuple(theta), lags)
+        # unchecked: every theta tried lies in the checked box (line searches stay
+        # inside it, pattern moves are clipped into it)
+        a1 = beta.a0 * _wave(tuple(theta.tolist()), lags)
         pred = a1 / (a1 + beta.b0)
         return float(np.sum((y - pred) ** 2))
 
@@ -413,7 +408,7 @@ def monitor(
         volume = float(np.prod(box[:, 1] - box[:, 0]))
         threshold = glr_threshold(alpha, volume, 3, epsilon)
     model = BetaWaveModel(a0=beta.a0, b0=beta.b0, theta=tuple(box.mean(axis=1)))
-    detector = WlGlr(model, threshold, int(window), theta_grid(box, grid_counts))
+    detector = WlGlr(model, threshold, window, theta_grid(box, grid_counts))
     outputs = list(map(detector.step, x.tolist()))
     first = next((i for i, out in enumerate(outputs) if out.alarm), None)
     return MonitorResult(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ObservationModel
+from .models import _NONNEGATIVE, ObservationModel, _Range, _count
 
 __all__ = [
     "GrowthCurve",
@@ -74,9 +74,7 @@ class GrowthCurve:
 
     def growth(self, n: int) -> float:
         """g(n), the cumulative expected LLR over the first n post-change steps."""
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        n = _count("n", n, 0)
         self._warn_if_past_peak(n)
         self._extend_to(n)
         return float(self._cum[n])
@@ -89,9 +87,7 @@ class GrowthCurve:
         this is the conservative choice for window sizing. A query at or past
         the total drift of a saturating curve raises ValueError.
         """
-        x = float(x)
-        if x < 0:
-            raise ValueError(f"x must be >= 0, got {x}")
+        x = _NONNEGATIVE.check("x", x)
         # extend until the cache passes x, so x sits left of the last knot; a
         # doubling that added next to nothing is not repeated for a later query
         while self._cum[-1] <= x:
@@ -145,11 +141,8 @@ def check_growth_condition(
     curve: GrowthCurve, x_max: float, points_per_decade: int = 10
 ) -> GrowthConditionReport:
     """Probe log g^{-1}(x)/x on a log grid up to x_max and flag the trend."""
-    x_max = float(x_max)
-    if x_max <= 1.0:
-        raise ValueError(f"x_max must exceed 1, got {x_max}")
-    if points_per_decade < 1:
-        raise ValueError(f"points_per_decade must be >= 1, got {points_per_decade}")
+    x_max = _Range(1).check("x_max", x_max)
+    points_per_decade = _count("points_per_decade", points_per_decade, 1)
     decades = math.log10(x_max)
     num = max(2, round(points_per_decade * decades) + 1)
     xs = np.logspace(0.0, decades, num)
@@ -190,16 +183,12 @@ class Lemma1Report:
 def lemma1_diagnostics(
     model: ObservationModel, n_max: int, shift_max: int = 10
 ) -> Lemma1Report:
-    n_max = int(n_max)
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    shift_max = int(shift_max)
-    if shift_max < 1:
-        raise ValueError(f"shift_max must be >= 1, got {shift_max}")
+    n_max = _count("n_max", n_max, 2)
+    shift_max = _count("shift_max", shift_max, 1)
     curve = GrowthCurve(model)
     variances = np.array([model.llr_variance(lag) for lag in range(n_max)])
     ns = np.arange(2, n_max + 1)
-    g = np.array([curve.growth(int(n)) for n in ns])
+    g = np.array([curve.growth(n) for n in ns.tolist()])
     if np.any(g <= 0):
         raise ValueError("growth must be positive from n=2 for the variance ratio")
     with np.errstate(over="ignore"):

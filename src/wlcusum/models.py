@@ -37,42 +37,92 @@ class SupportError(ValueError):
     """Observation lies outside the support of the model's densities."""
 
 
-def _check_lag(lag) -> int:
-    if isinstance(lag, (bool, float)) and not float(lag).is_integer():
-        raise ValueError(f"lag must be a non-negative integer, got {lag!r}")
-    lag = int(lag)
-    if lag < 0:
-        raise ValueError(f"lag must be a non-negative integer, got {lag}")
-    return lag
+def _count(name: str, value, least: int) -> int:
+    """value as an int if it is a whole number >= least (4.0 is one), else a
+    ValueError that names it. Every count a caller passes in is checked here."""
+    try:
+        whole = value == int(value) and value >= least
+    except (TypeError, ValueError, OverflowError):  # None, NaN, +-inf
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
 
 
-def _first_failing(theta, ok):
-    """The first point of theta (one point or a (G,) grid) where ok fails, None
-    if there is none: one point comes back as given, a grid point as a float.
-    NaN fails every ok."""
-    points = np.asarray(theta, dtype=float)
-    if points.ndim == 0:
-        return None if ok(float(points)) else theta
-    fails = ~ok(points)
-    return float(points[fails.argmax()]) if fails.any() else None
+@dataclass(frozen=True)
+class _Range:
+    """The reals lo < v < hi, or lo <= v < hi when closed. hi is never reached,
+    so +-inf and NaN lie in no range. Every real a caller passes in is checked
+    against one of these."""
+
+    lo: float
+    hi: float = math.inf
+    closed: bool = False
+
+    def __str__(self):
+        return f"{'[' if self.closed else '('}{self.lo!r}, {self.hi!r})"
+
+    def holds(self, v):
+        """Whether v lies in the range, for one float or elementwise over an array."""
+        return ((v >= self.lo) if self.closed else (v > self.lo)) & (v < self.hi)
+
+    def check(self, name: str, value):
+        """value as a float, or a (G,) grid as a float array of its own, if every
+        point lies in the range; else a ValueError that names the grid's first
+        point outside it, as that point alone would be named."""
+        if not isinstance(value, float) and np.ndim(value):
+            points = np.array(value, dtype=float)
+            if points.ndim > 1:
+                raise ValueError(f"{name} must be a number or a (G,) grid, "
+                                 f"got shape {points.shape}")
+            inside = self.holds(points)
+            if inside.all():
+                return points
+            value = points[inside.argmin()]
+        v = float(value)
+        if not self.holds(v):
+            raise ValueError(f"{name} must lie in {self}, got {v!r}")
+        return v
 
 
-def _point_or_grid(theta):
-    """theta as a float, or a (G,) grid of them as a float array of its own."""
-    points = np.array(theta, dtype=float)
-    if points.ndim > 1:
-        raise ValueError(f"theta must be a number or a (G,) grid, got shape {points.shape}")
-    return float(points) if points.ndim == 0 else points
+@dataclass(frozen=True)
+class _Parts:
+    """One named range per entry of a vector parameter."""
+
+    names: tuple
+    ranges: tuple
+
+    def check(self, name: str, value):
+        """value as a tuple of floats, or a (G, d) grid as a float array of its own,
+        if every entry lies in its part's range; else a ValueError that names the
+        part at the grid's first point outside, as that point alone would."""
+        d = len(self.names)
+        points = np.asarray(value, dtype=float)
+        if points.ndim not in (1, 2) or points.shape[-1] != d:
+            raise ValueError(f"{name} must be a ({', '.join(self.names)}) point or a "
+                             f"(G, {d}) grid, got {value!r}")
+        if points.ndim == 2:
+            inside = np.logical_and.reduce([r.holds(c) for r, c in zip(self.ranges, points.T)])
+            if inside.all():
+                return points.copy()
+            points = points[inside.argmin()]  # refused below
+        point = tuple(points.tolist())
+        if not all(map(_Range.holds, self.ranges, point)):
+            for part, domain, v in zip(self.names, self.ranges, point):
+                domain.check(part, v)  # raises at the first part outside
+        return point
+
+
+_POSITIVE = _Range(0)
+_NONNEGATIVE = _Range(0, closed=True)
+# the wave's (theta0, theta1, theta2): log10 amplitude, peak lag and width
+_WAVE = _Parts(("theta0", "theta1", "theta2"), (_NONNEGATIVE, _NONNEGATIVE, _POSITIVE))
 
 
 def _check_times(n, k) -> int:
     """Validate a (time, hypothesized change point) pair; returns the lag."""
-    n, k = int(n), int(k)
-    if k < 1:
-        raise ValueError(f"change-point index k must be >= 1, got {k}")
-    if n < k:
-        raise ValueError(f"time n={n} precedes hypothesized change point k={k}")
-    return n - k
+    k = _count("k", k, 1)
+    return _count("n", n, k) - k
 
 
 class ObservationModel:
@@ -82,7 +132,18 @@ class ObservationModel:
     coefficients, and the mean and variance of the statistic t(X) after the
     change; the LLR moments follow from those. Instances are immutable and
     safe to share across threads and worker processes.
+
+    A dataclass subclass declares each parameter's range once, in
+    ``_ranges`` (field name -> ``_Range`` or ``_Parts``). When it is built,
+    each is checked and stored as its check returns it: a float, a tuple of
+    them, or a grid as a float array of its own.
     """
+
+    _ranges: dict = {}
+
+    def __post_init__(self):
+        for name, domain in self._ranges.items():
+            object.__setattr__(self, name, domain.check(name, getattr(self, name)))
 
     # -- densities ---------------------------------------------------------
 
@@ -169,7 +230,7 @@ class ObservationModel:
         post-change density and the pre-change density; it is the increment
         of the cumulative drift (growth) function.
         """
-        lag = _check_lag(lag)
+        lag = _count("lag", lag, 0)
         return float(self.expected_llr_lags(np.array([lag]))[0])
 
     def stat_moments(self, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +261,7 @@ class ObservationModel:
         At a pinned hypothesis lag this is +inf once the data have drifted at
         least that far (true_lag >= hyp_lag) and -inf before, as the pin has it.
         """
-        l, t = _check_lag(hyp_lag), _check_lag(true_lag)
+        l, t = _count("hyp_lag", hyp_lag, 0), _count("true_lag", true_lag, 0)
         slopes, intercepts = self.llr_terms(np.array([l]))
         if np.isneginf(intercepts[0]):
             return math.inf if t >= l else -math.inf
@@ -209,7 +270,7 @@ class ObservationModel:
 
     def llr_variance(self, lag: int) -> float:
         """Variance of Z(X; lag) when X is post-change at that same lag."""
-        lags = np.array([_check_lag(lag)])
+        lags = np.array([_count("lag", lag, 0)])
         slopes, intercepts = self.llr_terms(lags)
         if np.isneginf(intercepts[0]):
             return math.inf
@@ -228,7 +289,7 @@ class ObservationModel:
         column per point, equal bit for bit to each point's own. It is frozen
         but not hashable, and its other methods are undefined.
         """
-        raise NotImplementedError
+        return replace(self, theta=theta)
 
     @property
     def theta_dim(self) -> int:
@@ -258,8 +319,7 @@ class _GaussianModel(ObservationModel):
 
     A subclass names its pre-change mean ``_pre_mean`` and its variance
     ``_var``, and gives the path as ``_post_mean(lags)`` and the affine LLR
-    as ``llr_terms``; the densities, samplers, moments and ``with_theta``
-    are the ones here.
+    as ``llr_terms``; the densities, samplers and moments are the ones here.
     """
 
     def log_pre_density(self, x: float) -> float:
@@ -295,9 +355,6 @@ class _GaussianModel(ObservationModel):
         means = self._post_mean(lags)
         return means, np.full_like(means, self._var)
 
-    def with_theta(self, theta):
-        return replace(self, theta=_point_or_grid(theta))
-
 
 @dataclass(frozen=True)
 class GemModel(_GaussianModel):
@@ -318,15 +375,7 @@ class GemModel(_GaussianModel):
     mu0: float
     sigma0_sq: float
     theta: float
-
-    def __post_init__(self):
-        if not (self.mu0 > 0):
-            raise ValueError(f"mu0 must be > 0, got {self.mu0}")
-        if not (self.sigma0_sq > 0):
-            raise ValueError(f"sigma0_sq must be > 0, got {self.sigma0_sq}")
-        bad = _first_failing(self.theta, lambda t: t > 0)
-        if bad is not None:
-            raise ValueError(f"theta must be > 0, got {bad}")
+    _ranges = {"mu0": _POSITIVE, "sigma0_sq": _POSITIVE, "theta": _POSITIVE}
 
     _pre_mean = property(lambda self: self.mu0)
     _var = property(lambda self: self.sigma0_sq)
@@ -352,7 +401,7 @@ class GemModel(_GaussianModel):
 
     # in the class's own __dict__, where a tracer patches them per model
     sufficient_stat = _GaussianModel.sufficient_stat
-    with_theta = _GaussianModel.with_theta
+    with_theta = ObservationModel.with_theta
 
 
 @dataclass(frozen=True)
@@ -367,15 +416,7 @@ class DecayModel(_GaussianModel):
     mu1: float
     sigma_sq: float
     theta: float
-
-    def __post_init__(self):
-        if not (self.mu1 > 0):
-            raise ValueError(f"mu1 must be > 0, got {self.mu1}")
-        if not (self.sigma_sq > 0):
-            raise ValueError(f"sigma_sq must be > 0, got {self.sigma_sq}")
-        bad = _first_failing(self.theta, lambda t: (0.0 < t) & (t < 0.5))
-        if bad is not None:
-            raise ValueError(f"theta must lie in (0, 0.5), got {bad}")
+    _ranges = {"mu1": _POSITIVE, "sigma_sq": _POSITIVE, "theta": _Range(0, 0.5)}
 
     _pre_mean = 0.0
     _var = property(lambda self: self.sigma_sq)
@@ -388,29 +429,7 @@ class DecayModel(_GaussianModel):
         return means / self.sigma_sq, -(means**2) / (2.0 * self.sigma_sq)
 
     sufficient_stat = _GaussianModel.sufficient_stat
-    with_theta = _GaussianModel.with_theta
-
-
-def _check_wave(theta) -> np.ndarray:
-    """theta, one (theta0, theta1, theta2) triple or a (G, 3) grid of them, as a
-    float array; raises at the first point that is not a wave, as that point
-    alone would."""
-    points = np.asarray(theta, dtype=float)
-    if points.ndim == 2 and points.shape[1] == 3:
-        t0, t1, t2 = points.T
-        bad = ~(t2 > 0) | (t0 < 0) | (t1 < 0)
-        if bad.any():
-            _check_wave(tuple(points[bad.argmax()].tolist()))
-        return points
-    if points.shape != (3,):
-        raise ValueError(f"theta must be a (theta0, theta1, theta2) triple or a (G, 3) grid, "
-                         f"got {theta}")
-    t0, t1, t2 = points.tolist()
-    if not (t2 > 0):
-        raise ValueError(f"theta2 must be > 0, got {t2}")
-    if t0 < 0 or t1 < 0:
-        raise ValueError(f"theta0 and theta1 must be >= 0, got {theta}")
-    return points
+    with_theta = ObservationModel.with_theta
 
 
 def _per_distinct(f, values: np.ndarray) -> np.ndarray:
@@ -433,16 +452,21 @@ def wave_multiplier(theta, lag):
     be a (G, 3) grid; lag then broadcasts against (G,), so lags[:, None] gives
     a (lags, G) table.
     """
-    points = _check_wave(theta)
-    if points.ndim == 1:
-        t0, t1, t2 = points.tolist()
+    return _wave(_WAVE.check("theta", theta), lag)
+
+
+def _wave(theta, lag):
+    """wave_multiplier without its check, for a theta already checked: one
+    (theta0, theta1, theta2) tuple of floats or a (G, 3) float array."""
+    if isinstance(theta, tuple):
+        t0, t1, t2 = theta
         amplitude, width = 10.0**t0 / t2, 2.0 * t2**2
     else:
         # Python float powers as for one point alone, one per distinct axis value:
         # numpy's SIMD power loops round differently from libm on some CPUs
-        amplitude = _per_distinct(lambda t0: 10.0**t0, points[:, 0]) / points[:, 2]
-        width = _per_distinct(lambda t2: 2.0 * t2**2, points[:, 2])
-        t1 = points[:, 1]
+        amplitude = _per_distinct(lambda t0: 10.0**t0, theta[:, 0]) / theta[:, 2]
+        width = _per_distinct(lambda t2: 2.0 * t2**2, theta[:, 2])
+        t1 = theta[:, 1]
     lag = np.asarray(lag, dtype=float)
     out = 1.0 + amplitude * np.exp(-((lag - t1) ** 2) / width)
     return out if out.ndim else float(out)
@@ -494,21 +518,14 @@ class BetaWaveModel(ObservationModel):
     a0: float
     b0: float
     theta: tuple[float, float, float]
+    _ranges = {"a0": _POSITIVE, "b0": _POSITIVE, "theta": _WAVE}
 
     def __post_init__(self):
-        if not (self.a0 > 0):
-            raise ValueError(f"a0 must be > 0, got {self.a0}")
-        if not (self.b0 > 0):
-            raise ValueError(f"b0 must be > 0, got {self.b0}")
-        points = np.asarray(self.theta, dtype=float)
-        # one triple is a tuple of floats; a (G, 3) grid stays an array of its own
-        object.__setattr__(self, "theta",
-                           tuple(points.tolist()) if points.ndim == 1 else points.copy())
-        _check_wave(self.theta)
+        super().__post_init__()
         _special()  # load it with the model, not in the first bank build or step
 
     def _post_shape(self, lags):
-        return self.a0 * np.asarray(wave_multiplier(self.theta, lags), dtype=float)
+        return self.a0 * np.asarray(_wave(self.theta, lags), dtype=float)
 
     def log_pre_density(self, x: float) -> float:
         return _beta_logpdf(_check_unit(x), self.a0, self.b0)
@@ -549,8 +566,7 @@ class BetaWaveModel(ObservationModel):
         variances = sp.polygamma(1, a1) - sp.polygamma(1, a1 + self.b0)
         return means, variances
 
-    def with_theta(self, theta):
-        return replace(self, theta=theta)
+    with_theta = ObservationModel.with_theta
 
     @property
     def peak_lag(self):

@@ -56,9 +56,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import GlrThresholdInputs, cusum_threshold, window_size
-from .detectors import FullCusum, WlCusum, WlGlr, _whole_window
+from .detectors import FullCusum, WlCusum, WlGlr
 from .growth import GrowthCurve
-from .models import ObservationModel
+from .models import ObservationModel, _count
 
 __all__ = [
     "TrialPlan",
@@ -99,7 +99,10 @@ class TrialPlan:
 
     nu is the true change point (1-based); math.inf means no change ever
     happens (false-alarm runs). max_steps=None picks a default: 50 * e^b for
-    false-alarm runs, nu - 1 + 100 * g^{-1}(b) for delay runs.
+    false-alarm runs, nu - 1 + 100 * g^{-1}(b) for delay runs, each budget
+    kept within [50, _MAX_DEFAULT_STEPS]. max_steps is checked as a count when
+    resolved; a delay plan's cap must reach nu.
+    Counts are whole numbers (4.0 is one), stored as ints.
     """
 
     model: ObservationModel
@@ -120,33 +123,34 @@ class TrialPlan:
             raise ValueError("wl-glr needs a theta grid")
         if math.isnan(self.threshold):  # a NaN b never alarms; +-inf are valid
             raise ValueError(f"threshold must be a number or +-inf, got {self.threshold}")
-        if not math.isinf(self.nu) and not (float(self.nu).is_integer() and self.nu >= 1):
-            raise ValueError(f"nu must be an integer >= 1 or math.inf, got {self.nu}")
         if self.detector == "full-cusum" and self.window is not None:
             raise ValueError(f"full-cusum reads every hypothesis, got window {self.window}")
-        if self.window is not None:  # refused here, not at the first detector build
-            object.__setattr__(self, "window", _whole_window(self.window))
-        for name in ("num_trials", "workers"):  # whole numbers, as nu: 1000.0 is one
+        # refused here, the window too, not at the first detector build
+        for name, least in {"num_trials": 1, "workers": 1, "window": 0, "nu": 1}.items():
             value = getattr(self, name)
-            if not (float(value).is_integer() and value >= 1):
-                raise ValueError(f"{name} must be a whole number >= 1, got {value}")
+            if not ((name == "window" and value is None) or (name == "nu" and value == math.inf)):
+                object.__setattr__(self, name, _count(name, value, least))
+        # a cap below 1 is not a count: resolved_max_steps names it
+        if self.max_steps is not None and 1 <= self.max_steps < self.nu < math.inf:
+            raise ValueError(f"max_steps={self.max_steps} ends before the change at nu={self.nu}; "
+                             "a delay run needs max_steps >= nu")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
 
     def resolved_max_steps(self, curve: GrowthCurve | None = None) -> int:
         """The step cap; curve, a GrowthCurve of the model, serves g^{-1}(b) when given."""
         if self.max_steps is not None:
-            if not (float(self.max_steps).is_integer() and self.max_steps >= 1):
-                raise ValueError(f"max_steps must be a whole number >= 1, got {self.max_steps}")
-            return int(self.max_steps)
+            return _count("max_steps", self.max_steps, 1)
         b = float(self.threshold)
         if math.isinf(self.nu):
             budget = 50.0 * math.exp(min(b, 30.0))
             return int(min(max(budget, 50.0), _MAX_DEFAULT_STEPS))
         horizon = 0.0
-        if b > 0.0:
+        if b == math.inf:  # g^{-1}(+inf) = +inf: no drift reaches it
+            horizon = math.inf
+        elif b > 0.0:
             horizon = (curve if curve is not None else GrowthCurve(self.model)).growth_inverse(b)
-        return int(self.nu) - 1 + int(min(max(100.0 * horizon, 50.0), _MAX_DEFAULT_STEPS))
+        return self.nu - 1 + int(min(max(100.0 * horizon, 50.0), _MAX_DEFAULT_STEPS))
 
 
 def _build_detector(plan: TrialPlan):
@@ -265,7 +269,7 @@ class _Batch:
         self.lams = np.empty((0, stop - start, *detector._shape))
         # the next block's steps: a delay run's first covers nu - 1 + 32 steps
         self.size = _STREAM_BLOCK if math.isinf(self.nu) else min(
-            _STREAM_BLOCK, 1 << (int(self.nu) + 30).bit_length())
+            _STREAM_BLOCK, 1 << (self.nu + 30).bit_length())
         self.done = self.j = 0  # steps done; row j of the block is the next step
         self.checked = ()  # rows whose statistics are all finite: no block drawn yet
         self.saved = np.geterr()  # the caller's settings, under which the model runs
@@ -456,7 +460,7 @@ def _run(plans: list[TrialPlan], curve: GrowthCurve | None = None):
                 "window=None is only a placeholder for per-alpha sizing"
             )
     caps = [plan.resolved_max_steps(curve) for plan in plans]
-    n = int(plans[0].num_trials)
+    n = plans[0].num_trials
     # one chunk per worker: a lockstep batch pays its per-step cost until its
     # longest trial ends, so fewer, larger batches do less work in total
     chunk = max(1, math.ceil(n / plans[0].workers))
@@ -542,13 +546,12 @@ def estimate_add(plan: TrialPlan, results=None) -> DelayEstimate:
     """
     if math.isinf(plan.nu):
         raise ValueError("delay estimation requires a finite change point nu")
-    nu = int(plan.nu)
     times, censored = results if results is not None else run_trials(plan)
-    ok = censored | (times >= nu)  # censored streams never alarmed at all
+    ok = censored | (times >= plan.nu)  # censored streams never alarmed at all
     false_starts = int((~ok).sum())
     if not ok.any():
         raise ValueError("every trial alarmed before the change point; raise the threshold")
-    delays = times[ok] - nu + 1
+    delays = times[ok] - plan.nu + 1
     cens = censored[ok]
     est = _summarize(delays, (~cens).sum(), cens.mean(), false_starts)
     if est.censor_rate > 0.05:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_glr_threshold_validation():
     ((0.01, math.nan, 1, 0.5), "theta_volume"),
 ])
 def test_glr_threshold_refuses_non_finite_inputs(args, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name} must lie in "):
         glr_threshold(*args)
 
 
@@ -153,7 +154,8 @@ def test_window_size_validation():
     with pytest.raises(ValueError):
         window_size(curve, 1e-3, safety=0.5)
     for safety in (math.nan, math.inf):  # ceil(safety * t) has no integer to give
-        with pytest.raises(ValueError, match=f"safety must be a finite number >= 1, got {safety}"):
+        message = re.escape(f"safety must lie in [1, inf), got {safety}")
+        with pytest.raises(ValueError, match=message):
             window_size(curve, 1e-3, safety=safety)
 
 

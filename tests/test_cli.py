@@ -227,9 +227,18 @@ class TestArgumentErrors:
          "argument --end-date: expected an ISO date like 2020-06-01, got '2020-06-31'"),
         (["fit-epi", *EPI_FLAGS, "--seed", "-3"], 1, "error: seed must be an integer >= 0, got -3"),
         # a descent never shrinks its sum by less than a tol <= 0: it would never converge
-        (["fit-epi", *EPI_FLAGS, "--tol", "0"], 1, "error: tol must be > 0, got 0.0"),
+        (["fit-epi", *EPI_FLAGS, "--tol", "0"], 1, "error: tol must lie in (0, inf), got 0.0"),
         (["diagnostics", *GEM, "--shift-max", "0", "--n-max", "5", "--x-max", "10"], 1,
-         "error: shift_max must be >= 1, got 0"),
+         "error: shift_max must be a whole number >= 1, got 0"),
+        # every trial would stop before the change: the delays would be negative
+        (["estimate-add", *GEM, "--alpha", "1e-2", "--nu", "1000", "--max-steps", "10",
+          "--trials", "5"], 1, "error: max_steps=10 ends before the change at nu=1000"),
+        (["simulate-oc", *GEM, "--alphas", "1e-2", "--nu", "1000", "--max-steps", "10",
+          "--trials", "5"], 1, "error: max_steps=10 ends before the change at nu=1000"),
+        (["estimate-add", "--model", "decay", "--mu1", "inf", "--sigma-sq", "4", "--theta",
+          "0.2", "--alpha", "1e-3", "--nu", "1"], 1, "error: mu1 must lie in (0, inf), got inf"),
+        (["fit-epi", *EPI_FLAGS, "--theta-box", "0.1:inf,1:20,0.1:5"], 1,
+         "error: theta0 must lie in [0, inf), got inf"),
         *[([command, *GEM, *nu, "--detector", "full-cusum", "--window", "5"], 1,
            "error: full-cusum reads every hypothesis, got window 5")
           for command, nu in [("estimate-add", ["--nu", "1", "--alpha", "1e-2"]),
@@ -238,7 +247,9 @@ class TestArgumentErrors:
                               ("simulate-oc", ["--nu", "1", "--alphas", "1e-2"])]],
     ], ids=["glr-without-box", "box-dimension", "no-threshold", "qq-too-few-alarms",
             "too-few-prechange-days", "end-before-start", "bad-iso-date", "fit-epi-negative-seed",
-            "fit-epi-zero-tol", "diagnostics-zero-shift-max", "estimate-add-full-cusum-window",
+            "fit-epi-zero-tol", "diagnostics-zero-shift-max", "estimate-add-cap-before-change",
+            "simulate-oc-cap-before-change", "estimate-add-infinite-parameter",
+            "fit-epi-infinite-box-end", "estimate-add-full-cusum-window",
             "estimate-mtfa-full-cusum-window", "simulate-qq-full-cusum-window",
             "simulate-oc-full-cusum-window"])
     def test_refusal_exit_code_and_message(self, argv, code, message, tmp_path, capsys):
@@ -252,6 +263,18 @@ class TestArgumentErrors:
         assert got == code
         assert message in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("model, message", [
+        (["--model", "decay", "--mu1", "inf", "--sigma-sq", "4", "--theta", "0.2"],
+         "error: mu1 must lie in (0, inf), got inf"),
+        (["--model", "gem", "--mu0", "0.1", "--sigma0-sq", "1e4", "--theta", "nan"],
+         "error: theta must lie in (0, inf), got nan"),
+    ], ids=["decay-infinite-mu1", "gem-nan-theta"])
+    def test_calibrate_refuses_a_parameter_out_of_range(self, model, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = _run(capsys, ["calibrate", *model, "--alpha", "1e-3", "--out", str(out)])
+        assert code == 1 and message in err
+        assert list(out.iterdir()) == []
 
     def test_failed_run_removes_its_partial_outputs(self, tmp_path, capsys):
         # the trials table is written first; the summary cannot be, as a directory holds its name
@@ -359,6 +382,20 @@ class TestEstimateMtfa:
         trials = (out / "mtfa_trials.csv").read_text().splitlines()
         assert len(trials) == 7  # header + one row per trial
         assert (out / "mtfa_summary.json").exists()
+
+    def test_threshold_past_where_e_to_the_minus_b_underflows(self, tmp_path, capsys):
+        # e^-b is 0.0 past b = 745: the cost and the target come from e^b instead
+        argv = ["estimate-mtfa", *GEM, "--window", "5", "--trials", "2", "--seed", "1",
+                "--workers", "1"]
+        for b in ("800", "inf"):
+            code, _, err = _run(capsys, [*argv, "--threshold", b, "--out", str(tmp_path / b)])
+            assert code == 1
+            assert "alpha=0 needs on the order of inf observations" in err and "--force" in err
+        with pytest.warns(RuntimeWarning, match="false-alarm trials hit the step cap"):
+            code, payload, _ = _run(capsys, [*argv, "--threshold", "800", "--force",
+                                             "--max-steps", "10", "--out", str(tmp_path / "f")])
+        assert code == 0 and payload["target_lower_bound"] is None  # e^800 overflows
+        assert payload["mtfa"]["mean"] == 10.0
 
     def test_writes_strict_json(self, tmp_path, capsys):
         # one trial has no standard error: +inf, which strict JSON writes as null

@@ -1,6 +1,7 @@
 """Case-count ingestion, Beta moment fits, wave-shape fitting, monitoring."""
 
 import math
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -334,7 +335,7 @@ class TestFitWaveShape:
         # a sweep never grows the sum, so previous - current < tol would never hold
         beta = _beta()
         series = _wave_series(beta, COUNTY_THETA, days=12)
-        with pytest.raises(ValueError, match=f"tol must be > 0, got {tol}"):
+        with pytest.raises(ValueError, match=re.escape(f"tol must lie in (0, inf), got {tol}")):
             fit_wave_shape(series, beta, COUNTY_BOX, restarts=1, tol=tol, max_iter=50)
 
     def test_box_validation(self):

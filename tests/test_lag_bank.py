@@ -78,12 +78,16 @@ def test_grid_tables_equal_the_per_point_loop_on_avx2():
 
 
 # (model, a valid point, an invalid one); GEM theta <= 0, decay outside (0, 0.5),
-# the Beta wave theta2 <= 0 or theta0 < 0, and NaN where the check rejects it
+# the Beta wave theta2 <= 0 or theta0 < 0, and +inf and NaN, which lie in no range
 BAD_POINTS = [
-    (GEM, 0.2, 0.0), (GEM, 0.2, -0.1), (GEM, 0.2, math.nan),
+    (GEM, 0.2, 0.0), (GEM, 0.2, -0.1), (GEM, 0.2, math.nan), (GEM, 0.2, math.inf),
     (DecayModel(2.0, 4.0, 0.2), 0.2, 0.5), (DecayModel(2.0, 4.0, 0.2), 0.2, 0.0),
+    (DecayModel(2.0, 4.0, 0.2), 0.2, math.nan), (DecayModel(2.0, 4.0, 0.2), 0.2, math.inf),
     (COUNTY, (0.4, 3.0, 0.5), (0.4, 3.0, 0.0)), (COUNTY, (0.4, 3.0, 0.5), (0.4, 3.0, -1.0)),
     (COUNTY, (0.4, 3.0, 0.5), (-0.1, 3.0, 0.5)),
+    # each wave component at +inf and NaN
+    *[(COUNTY, (0.4, 3.0, 0.5), tuple(v if i == j else g for j, g in enumerate((0.4, 3.0, 0.5))))
+      for i in range(3) for v in (math.inf, math.nan)],
 ]
 
 

@@ -266,13 +266,14 @@ def _walks(draw):
     model = draw(st.one_of(st.sampled_from([GEM, DECAY, WAVE]), spiked))
     detector = draw(st.sampled_from(["wl-cusum", "wl-glr", "full-cusum"]))
     grid = WAVE_GRID if model is WAVE else np.linspace(0.1, 0.4, 3)
+    nu = draw(st.sampled_from([math.inf, 1, 7]))
     base = _plan(model=model, detector=detector, grid=grid if detector == "wl-glr" else None,
-                 nu=draw(st.sampled_from([math.inf, 1, 7])), num_trials=draw(st.integers(1, 40)),
+                 nu=nu, num_trials=draw(st.integers(1, 40)),
                  seed=draw(st.integers(0, 2**16)), window=None)
     point = st.fixed_dictionaries(dict(
         threshold=st.sampled_from([-1.0, 0.0, 2.0, 4.0, 6.0, 9.0, math.inf]),
         window=st.none() if detector == "full-cusum" else st.integers(0, 40),
-        max_steps=st.integers(1, 150)))
+        max_steps=st.integers(1 if math.isinf(nu) else nu, 150)))  # a delay cap reaches nu
     return [replace(base, **p) for p in draw(st.lists(point, min_size=1, max_size=4))]
 
 
@@ -619,6 +620,13 @@ class TestResolvedMaxSteps:
         plan = _plan(threshold=-1.0, nu=4)
         assert plan.resolved_max_steps() == 53  # nu - 1 + floor of 50
 
+    def test_infinite_threshold_takes_the_ceiling(self):
+        # g^{-1}(+inf) = +inf, capped as the false-alarm default is at b = +inf
+        plan = _plan(threshold=math.inf, nu=4)
+        assert plan.resolved_max_steps() == 3 + montecarlo._MAX_DEFAULT_STEPS
+        assert _plan(threshold=math.inf, nu=math.inf).resolved_max_steps() == (
+            montecarlo._MAX_DEFAULT_STEPS)
+
 
 class TestPlanValidation:
     def test_detector_name(self):
@@ -646,8 +654,9 @@ class TestPlanValidation:
         (dict(window=2.5), "window must be a whole number >= 0, got 2.5"),
         (dict(window=math.nan), "window must be a whole number >= 0, got nan"),
         (dict(window=-1), "window must be a whole number >= 0, got -1"),
+        (dict(nu=1000, max_steps=10), "max_steps=10 ends before the change at nu=1000"),
     ], ids=["negative-seed", "float-seed", "num-trials", "workers", "max-steps",
-            "fraction-window", "nan-window", "negative-window"])
+            "fraction-window", "nan-window", "negative-window", "cap-before-change"])
     def test_names_a_bad_seed_or_count(self, kw, message):
         with pytest.raises(ValueError, match=message):
             run_trials(_plan(**kw))
