@@ -136,7 +136,8 @@ class ObservationModel:
     A dataclass subclass declares each parameter's range once, in
     ``_ranges`` (field name -> ``_Range`` or ``_Parts``). When it is built,
     each is checked and stored as its check returns it: a float, a tuple of
-    them, or a grid as a float array of its own.
+    them, or a grid as a float array of its own. A point model whose LLR terms at
+    lags 0 and 1 are not finite is refused too; a grid's one llr_terms call is its bank's.
     """
 
     _ranges: dict = {}
@@ -144,6 +145,12 @@ class ObservationModel:
     def __post_init__(self):
         for name, domain in self._ranges.items():
             object.__setattr__(self, name, domain.check(name, getattr(self, name)))
+        if not isinstance(getattr(self, "theta", None), np.ndarray):
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                    self.llr_terms(np.arange(2))
+            except (OverflowError, FloatingPointError) as err:
+                raise ValueError(f"{self!r} has non-finite LLR terms ({err.args[-1]})") from None
 
     # -- densities ---------------------------------------------------------
 
@@ -220,6 +227,19 @@ class ObservationModel:
             lags = np.arange(start + n_pre, start + length) - nu
             out[n_pre:] = self.sample_post_lags(rng, lags)
         return out
+
+    def block_drawer(self, nu):
+        """A run's drawer: draw(rngs, start, out) fills row r of the trial-major (T, k)
+        out as sample_segment(rngs[r], nu, start, k) would, rngs[r] left as it would
+        be; nu is an int or math.inf. This one calls it, as for a Gaussian model that
+        overrides a sampler; a Gaussian model's own adds a row of means from its lag
+        table to sd times a block of standard normals. Like sample_post_lags, that is
+        rng.normal(mu, sd) only while numpy computes loc + scale * z in two roundings."""
+        def draw(rngs, start, out):
+            for rng, row in zip(rngs, out):
+                row[:] = self.sample_segment(rng, nu, start, out.shape[1])
+
+        return draw
 
     # -- moments -----------------------------------------------------------
 
@@ -339,17 +359,35 @@ class _GaussianModel(ObservationModel):
         return rng.normal(self._pre_mean, math.sqrt(self._var), size)
 
     def sample_post_lags(self, rng, lags):
-        """N(_post_mean(l), _var) draws, bit for bit rng.normal(means, sd).
-
-        rng.normal with an array loc takes numpy's broadcast path, which costs
-        more than the draws. It computes loc + scale * z per element from one
-        standard normal each, in order, so this gives the same values and
-        leaves rng in the same state. Where the mean overflows (GEM's
-        e^{theta l} at lag 1,775 for theta = 0.4) it and its draw are +inf:
-        a detector that consumes that draw raises SupportError.
-        """
+        """N(_post_mean(l), _var) draws, bit for bit rng.normal(means, sd) (see
+        block_drawer) without its dearer broadcast path for an array loc. Where
+        the mean overflows (GEM's e^{theta l} at lag 1,775 for theta = 0.4) it
+        and its draw are +inf: a detector that consumes that draw raises
+        SupportError."""
         means = self._post_mean(lags)
         return means + math.sqrt(self._var) * rng.standard_normal(len(means))
+
+    def block_drawer(self, nu):
+        if any(getattr(type(self), f) is not getattr(_GaussianModel, f)
+               for f in ("sample_segment", "sample_pre", "sample_post_lags")):
+            return super().block_drawer(nu)
+        sd, table = math.sqrt(self._var), np.empty(0)  # table: _post_mean at lags 0, 1, ...
+
+        def draw(rngs, start, out):
+            nonlocal table
+            for rng, row in zip(rngs, out):
+                rng.standard_normal(out=row)
+            out *= sd
+            first, stop = start - nu, start + out.shape[1] - nu  # lags; < 0 before the change
+            means = self._pre_mean
+            if stop > 0:
+                if len(table) < stop:  # grown by doubling
+                    table = self._post_mean(np.arange(1 << (stop - 1).bit_length()))
+                means = np.concatenate((np.full(max(-first, 0), float(self._pre_mean)),
+                                        table[max(first, 0):stop]))
+            out += means
+
+        return draw
 
     def stat_moments(self, lags):
         means = self._post_mean(lags)

@@ -6,7 +6,7 @@ The trials of a chunk run in lockstep batches. A ``_Batch`` walks one
 false-alarm run draws 512 steps a block; a delay run (finite nu) first draws
 the least power of two of at least nu - 1 + 32 steps, then doubles each block
 up to 512, so a trial that alarms soon after the change draws little past it.
-A block is trial-major, one contiguous row of draws per trial. A
+A block is trial-major, one row per trial, from the chunk's drawer. A
 window-limited bank with no grid and at most _SCAN_CAP lags (a full-history
 one too, once its cap stops at a dead lag that small) advances through up to
 B = _SCAN_STEPS drawn steps per ``_LagBank._scan`` call (2B, the rest of a
@@ -22,10 +22,10 @@ An operating characteristic is one such run for the whole curve. An entry
 lambda_{n,k} depends on neither the window nor the threshold, so the bank of
 the widest window holds, bit for bit, every narrower window's entries in its
 newest m + 1 lags. Each alpha is an operating point, a row of a table built
-once per batch: its threshold, step cap and maxima column. Every advance
-takes one max per column over the column's newest span lags (a grid bank's
-lags first, then its grid), the whole bank last, and each point reads its own
-column. ``_lockstep`` keeps the point books: one floor per (point, live
+once per batch: its threshold, step cap and maxima column, the whole bank's
+last. An advance reads each lag once: a column's max over lags is the
+narrower column's and its own older lags' (a grid bank's grid reduces after).
+``_lockstep`` keeps the point books: one floor per (point, live
 trial), which turns NaN once the point has alarmed on that trial or reached
 its cap, and which no max meets. It names NaN maxima, records alarms and
 censoring, drops a trial once all its floors are NaN, and a point once no
@@ -35,10 +35,10 @@ numpy error scope that ignores overflow and invalid values (a +-inf entry is
 a valid statistic, and the books name every NaN a point reads); the model's
 draws and statistics keep the caller's settings, so its own warnings show.
 
-Trial i draws its observations from a dedicated RNG substream keyed by
-(master seed, i), in order, exactly as it would running alone in 512-step
-blocks (a model's sample_segment must give the same values in any cut of a
-trial's sequence, as the built-in models do), and each trial's column of the
+Trial i draws from its own RNG substream keyed by (master seed, i), in
+order, as sample_segment would running alone in 512-step blocks (it must give
+the same values in any cut of a trial's sequence, as the built-in models do;
+the model's ``block_drawer`` fills rows so), and each trial's column of the
 bank gets exactly the operations of a detector's own step. A batch seeds all
 its generators in one pass of numpy's SeedSequence hash (``_trial_rngs``),
 state for state np.random.default_rng([seed, i]). Results are therefore
@@ -261,8 +261,8 @@ class _Batch:
     in ``_lockstep``'s error scope; the model runs under saved, the caller's.
     """
 
-    def __init__(self, detector, plan: TrialPlan, start: int, stop: int, max_steps: int, narrow):
-        self.detector, self.model, self.nu = detector, plan.model, plan.nu
+    def __init__(self, detector, draw, plan, start: int, stop: int, max_steps: int, narrow):
+        self.detector, self.draw, self.model, self.nu = detector, draw, plan.model, plan.nu
         self.max_steps, self.narrow = max_steps, narrow  # narrow: the spans below cap
         self.live = np.arange(stop - start)
         self.rngs = _trial_rngs(plan.seed, start, stop)
@@ -285,15 +285,13 @@ class _Batch:
         return cap * (cap + _SCAN_STEPS)
 
     def _draw(self):
-        model, n = self.model, self.done
-        k, self.size = min(self.size, self.max_steps - n), min(2 * self.size, _STREAM_BLOCK)
-        # (T, k): column j holds step n + 1 + j; the old block goes first, so one is held at a time
+        k, self.size = min(self.size, self.max_steps - self.done), min(2 * self.size, _STREAM_BLOCK)
+        # (T, k): column j holds step done + 1 + j; the old block goes first, so one is held at once
         self.block = self.stats = None
         self.block = block = np.empty((len(self.rngs), k))
         with np.errstate(**self.saved):
-            for rng, row in zip(self.rngs, block):
-                row[:] = model.sample_segment(rng, self.nu, n + 1, k)
-            self.stats = stats = model.sufficient_stats(block.ravel()).reshape(block.shape)
+            self.draw(self.rngs, self.done + 1, block)
+            self.stats = stats = self.model.sufficient_stats(block.ravel()).reshape(block.shape)
         self.checked = np.isfinite(stats).all(axis=0)
         self.rows, self.j = np.arange(len(self.live)), 0
 
@@ -326,12 +324,15 @@ class _Batch:
             if not top < floor:
                 maxima = np.empty((1, len(self.narrow) + 1, len(self.live)))
                 # the whole bank is the last column: a full-history bank outgrows its first
-                # cap; a grid's lags reduce first, over contiguous (T, G) rows
+                # cap. A column's max over lags is the narrower one's and its own older lags',
+                # so each lag is read once; a grid's (T, G) rows then reduce
+                most, stop = None, len(lams)  # the max over the lags read so far
                 for span, column in zip((*self.narrow, len(lams)), maxima[0]):
-                    if grid:
-                        lams[-span:].max(axis=0).max(axis=1, out=column)
-                    else:
-                        lams[-span:].max(axis=0, out=column)
+                    lo = max(len(lams) - span, 0)
+                    if lo < stop:  # the older lags this column adds
+                        older, stop = lams[lo:stop].max(axis=0), lo
+                        most = older if most is None else np.maximum(most, older, out=older)
+                    most.max(axis=(1,) if grid else (), out=column)
         self.j, self.done = e, self.done + e - j
         return top, maxima
 
@@ -341,7 +342,7 @@ class _Batch:
         self.rngs = [rng for rng, on in zip(self.rngs, stay) if on]
 
 
-def _lockstep(detector, plans: list[TrialPlan], caps: list[int], start: int, times, censored):
+def _lockstep(detector, draw, plans: list[TrialPlan], caps: list[int], start: int, times, censored):
     """Trials start .. start + T - 1 run together for every plan; row p of the (P, T)
     times and censored, which hold the caps and True, gets plans[p]'s alarms.
 
@@ -367,7 +368,7 @@ def _lockstep(detector, plans: list[TrialPlan], caps: list[int], start: int, tim
     narrow = sorted({s for s in spans if s < cap})
     columns = np.array([len(narrow) if s == cap else narrow.index(s) for s in spans])
     caps = np.array(caps)
-    batch = _Batch(detector, plans[0], start, start + times.shape[1], int(caps.max()), narrow)
+    batch = _Batch(detector, draw, plans[0], start, start + times.shape[1], int(caps.max()), narrow)
     ids = np.arange(len(plans))  # the points some live trial waits on
     floors = np.repeat(table[:, None], times.shape[1], axis=1)  # (point of ids, live trial)
     # caps and floor of the table rows of ids; which is None while the points are the columns
@@ -435,6 +436,7 @@ def _run_chunk(plans: list[TrialPlan], start: int, stop: int, caps: list[int]):
     # one detector for every point, its coefficient tables for every batch: the
     # widest window's bank holds each narrower one's entries, bit for bit
     detector = _build_detector(max(plans, key=lambda p: p.window or 0))
+    draw = plans[0].model.block_drawer(plans[0].nu)  # and one drawer, with its lag table
     entries, room = _Batch.scan_entries(detector), _SCAN_ENTRIES
     if not 0 < entries <= room:
         # it steps: its entries per trial at the start; full-history banks grow on
@@ -442,7 +444,7 @@ def _run_chunk(plans: list[TrialPlan], start: int, stop: int, caps: list[int]):
     size = max(1, min(_BATCH_TRIALS, room // entries))
     for lo in range(0, stop - start, size):
         hi = min(lo + size, stop - start)
-        _lockstep(detector, plans, caps, start + lo, times[:, lo:hi], censored[:, lo:hi])
+        _lockstep(detector, draw, plans, caps, start + lo, times[:, lo:hi], censored[:, lo:hi])
     return times, censored
 
 

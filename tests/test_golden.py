@@ -278,6 +278,15 @@ def test_cli_flags_unchanged(frozen):
     assert _cli_flags() == frozen["cli-flags"]
 
 
+def _on_avx2_loops(code: str) -> str:
+    """The stdout of code run in a fresh interpreter whose numpy skips its
+    AVX-512 loops, as on a CPU without AVX-512."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO / "tests")]),
+           "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_integer_digests_hold_on_avx2_loops(frozen):
     """Every integer digest holds when numpy skips its AVX-512 loops, as on a
     CPU without AVX-512. The float digests do not yet: those loops round exp,
@@ -285,12 +294,14 @@ def test_integer_digests_hold_on_avx2_loops(frozen):
     code = ("import json, sys, tempfile; from pathlib import Path; import test_golden as g\n"
             "with tempfile.TemporaryDirectory() as tmp:\n"
             "    print(json.dumps({n: g._compute(n, Path(tmp))['ints'] for n in g.NAMES}))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO / "tests")]),
-           "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    last = run.stdout.splitlines()[-1]  # monitor-epi prints its summary first
+    last = _on_avx2_loops(code).splitlines()[-1]  # monitor-epi prints its summary first
     assert json.loads(last) == {name: frozen[name]["ints"] for name in NAMES}
+
+
+def test_block_drawer_equals_sample_segment_on_avx2_loops():
+    """The AVX2 loops' tail handling, in the drawer's block-wide multiply-add or
+    its one-shot mean table, must not part its draws from per-row ones either."""
+    assert _on_avx2_loops("import test_models as t; print(t._drawer_mismatches())") == "[]\n"
 
 
 def test_every_frozen_case_still_runs(frozen):

@@ -163,3 +163,19 @@ def test_both_ends_of_a_theta_box_lie_in_the_wave_ranges(part, end, v):
             run()
         if not box[part, 0] >= box[part, 1]:  # else the interval is refused as empty
             assert re.fullmatch(f"theta{part} must lie in .*, got {v!r}", str(err.value))
+
+
+# parameters inside their ranges whose LLR terms at lags 0 and 1 are not finite
+NON_FINITE = [
+    ("GemModel", lambda: GemModel(1e200, 1.0, 0.4)),  # mu0 ** 2 overflows
+    ("GemModel", lambda: GemModel(0.1, 1e-320, 0.4)),  # a slope of +inf meets lag 0's 0
+    ("BetaWaveModel", lambda: BetaWaveModel(5.0, 5.0, (400.0, 2.0, 1.0))),  # 10 ** 400
+    ("BetaWaveModel", lambda: BetaWaveModel(5.0, 5.0, (0.5, 2.0, 1e-200))),  # width 0
+]
+
+
+@pytest.mark.parametrize("name, build", NON_FINITE,
+                         ids=["gem-mu0", "gem-sigma0_sq", "wave-theta0", "wave-theta2"])
+def test_parameters_whose_llr_terms_are_not_finite_are_refused(name, build):
+    with pytest.raises(ValueError, match=rf"(?s)^{name}\(.* has non-finite LLR terms \("):
+        build()

@@ -1,5 +1,6 @@
 """Observation models: densities, LLR coefficients, moments, sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -293,6 +294,41 @@ def test_post_draws_are_rng_normal_bit_for_bit(model, sd, n_finite):
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert np.isfinite(got[:n_finite]).all() and np.isposinf(got[n_finite:]).all()
+
+
+def _drawer_mismatches(seeds=range(3), trials=3):
+    """(model, nu, start, length, seed) of every block in which a model's
+    block_drawer differs from sample_segment row for row, in bytes or in a
+    generator's state after. One drawer serves a run's blocks in turn, its lag
+    table grown from the first; each serves these in ascending and descending
+    order. Pre-change, straddling and post-change blocks are cut at lags 0 to
+    1,699, where GEM's means turn +inf at lag 1,775."""
+    bad = []
+    for model in (GemModel(0.1, 1e4, 0.4), DecayModel(2.0, 4.0, 0.2)):
+        for nu in (1, 40, math.inf):
+            starts = ([1, 37] if nu == 40 else []) + [
+                (1 if math.isinf(nu) else nu) + lag for lag in (0, 32, 64, 128, 999, 1699)]
+            for order in (starts, starts[::-1]):
+                draw = model.block_drawer(nu)
+                for start in order:
+                    for k, seed in itertools.product((7, 32, 512), seeds):
+                        got_rngs, want_rngs = ([np.random.default_rng([seed, i])
+                                                for i in range(trials)] for _ in range(2))
+                        got = np.empty((trials, k))
+                        draw(got_rngs, start, got)
+                        want = np.array([model.sample_segment(r, nu, start, k) for r in want_rngs])
+                        if got.tobytes() != want.tobytes() or (
+                                [r.bit_generator.state for r in got_rngs]
+                                != [r.bit_generator.state for r in want_rngs]):
+                            bad.append((type(model).__name__, nu, start, k, seed))
+    return bad
+
+
+def test_block_drawer_equals_sample_segment_row_for_row():
+    assert _drawer_mismatches() == []
+    block = np.empty((1, 512))  # lags 1,699 .. 2,210: GEM's means are +inf from 1,775
+    GemModel(0.1, 1e4, 0.4).block_drawer(1)([np.random.default_rng(0)], 1700, block)
+    assert np.isfinite(block[0, :76]).all() and np.isposinf(block[0, 76:]).all()
 
 
 def test_beta_sufficient_stat_rejects_off_support():

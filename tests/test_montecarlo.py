@@ -606,6 +606,12 @@ class TestDrawSizes:
         assert times.max() > 512 and (513, 512) in blocks
 
 
+def test_an_overridden_sampler_keeps_the_per_row_drawer():
+    model = CountedGem(0.1, 1e4, 0.4)
+    model.block_drawer(1)([np.random.default_rng(i) for i in range(3)], 5, np.empty((3, 7)))
+    assert model.blocks == [(5, 7)] * 3
+
+
 class TestResolvedMaxSteps:
     def test_false_alarm_default_scales_with_threshold(self):
         plan = _plan(threshold=math.log(100), nu=math.inf)
