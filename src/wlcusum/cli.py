@@ -26,7 +26,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .calibration import (
@@ -650,6 +649,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _write_manifest(out_dir: Path, args, written: list, wall_time: float) -> None:
+    import scipy  # for its version alone: the import of this module loads no scipy
+
     config = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "command": args.subcommand,

@@ -165,8 +165,10 @@ class _LagBank:
 
         lam is the bank the tables are grown for, None when there is none yet.
         """
-        # (cap, G) tables in lag order, one column per grid point (G = 1 without one)
-        slopes, intercepts = self._terms.llr_terms(np.arange(self._cap)[:, None])
+        # (cap, G) tables in lag order, one column per grid point (G = 1 without one); a
+        # grid's call is its check, as a point model's at lags 0 and 1 is when it is built
+        terms = self._terms._finite_terms if self._shape else self._terms.llr_terms
+        slopes, intercepts = terms(np.arange(self._cap)[:, None])
         pinned = intercepts.min() == -np.inf
         if pinned:  # else no lag is pinned, at one pass's cost
             dead = ((slopes == 0.0) & (intercepts == -np.inf)).all(axis=1)

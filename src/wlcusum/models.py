@@ -137,7 +137,7 @@ class ObservationModel:
     ``_ranges`` (field name -> ``_Range`` or ``_Parts``). When it is built,
     each is checked and stored as its check returns it: a float, a tuple of
     them, or a grid as a float array of its own. A point model whose LLR terms at
-    lags 0 and 1 are not finite is refused too; a grid's one llr_terms call is its bank's.
+    lags 0 and 1 are not finite is refused too (``_finite_terms``).
     """
 
     _ranges: dict = {}
@@ -146,11 +146,20 @@ class ObservationModel:
         for name, domain in self._ranges.items():
             object.__setattr__(self, name, domain.check(name, getattr(self, name)))
         if not isinstance(getattr(self, "theta", None), np.ndarray):
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-                    self.llr_terms(np.arange(2))
-            except (OverflowError, FloatingPointError) as err:
-                raise ValueError(f"{self!r} has non-finite LLR terms ({err.args[-1]})") from None
+            self._finite_terms(np.arange(2))
+
+    def _finite_terms(self, lags):
+        """llr_terms(lags), refused by name where a term overflows, divides by zero or
+        is undefined. A grid takes this check in its one llr_terms call, its bank's,
+        and is refused as its first point that is refused alone."""
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                return self.llr_terms(lags)
+        except (OverflowError, FloatingPointError) as err:
+            grid = getattr(self, "theta", None)
+            for point in grid if isinstance(grid, np.ndarray) else ():
+                self.with_theta(point)  # raises for a point that fails alone
+            raise ValueError(f"{self!r} has non-finite LLR terms ({err.args[-1]})") from None
 
     # -- densities ---------------------------------------------------------
 

@@ -25,11 +25,10 @@ newest m + 1 lags. Each alpha is an operating point, a row of a table built
 once per batch: its threshold, step cap and maxima column, the whole bank's
 last. An advance reads each lag once: a column's max over lags is the
 narrower column's and its own older lags' (a grid bank's grid reduces after).
-``_lockstep`` keeps the point books: one floor per (point, live
-trial), which turns NaN once the point has alarmed on that trial or reached
-its cap, and which no max meets. It names NaN maxima, records alarms and
-censoring, drops a trial once all its floors are NaN, and a point once no
-live trial waits on it.
+The floors are ``_lockstep``'s only books: one per (point, live trial), NaN
+once the point has alarmed on that trial or reached its cap, so no max meets
+it. An advance ends at the least cap of the points still waiting. A trial
+leaves once all its floors are NaN; a finished point's row stays, all NaN.
 ``run_trials`` is the one-point case of the same run. A walk runs under one
 numpy error scope that ignores overflow and invalid values (a +-inf entry is
 a valid statistic, and the books name every NaN a point reads); the model's
@@ -252,13 +251,14 @@ class _Batch:
     running alone draws: size is _STREAM_BLOCK for a false-alarm run, and a
     delay run's grows from its first block, which covers nu - 1 + 32 steps,
     by doubling. A grid bank's maxima reduce over lags before the grid: the
-    (T, G) rows are contiguous. An advance scans while the live trials' scan
-    block fits _SCAN_ENTRIES, up to _SCAN_STEPS steps (2 * _SCAN_STEPS, the
-    rest of a 512-step block, once fewer than _SCAN_THIN trials are live),
-    and steps otherwise. A sub-block ends before any row with a non-finite
-    statistic, which one step feeds through the model's scalar hook: only a
-    trial that consumes an off-support draw raises SupportError. It advances
-    in ``_lockstep``'s error scope; the model runs under saved, the caller's.
+    (T, G) rows are contiguous. An advance ends at stop, the smallest waiting
+    cap, at the latest. It scans while the live trials' scan block fits
+    _SCAN_ENTRIES, up to _SCAN_STEPS steps (2 * _SCAN_STEPS, the rest of a
+    512-step block, once fewer than _SCAN_THIN trials are live), and steps
+    otherwise. A sub-block ends before any row with a non-finite statistic,
+    which one step feeds through the model's scalar hook: only a trial that
+    consumes an off-support draw raises SupportError. It advances in
+    ``_lockstep``'s error scope; the model runs under saved, the caller's.
     """
 
     def __init__(self, detector, draw, plan, start: int, stop: int, max_steps: int, narrow):
@@ -295,17 +295,17 @@ class _Batch:
         self.checked = np.isfinite(stats).all(axis=0)
         self.rows, self.j = np.arange(len(self.live)), 0
 
-    def advance(self, floor: float):
-        """Advance every live trial by one scan or one step: (the top bank max, the
-        (R, C, T) maxima of its R steps, one per column), the maxima None for one
-        step whose top is below floor."""
+    def advance(self, floor: float, stop: int):
+        """Advance every live trial by one scan or one step, to step stop at the latest:
+        (the top bank max, the (R, C, T) maxima of its R steps, one per column),
+        the maxima None for one step whose top is below floor."""
         if self.j == len(self.checked):
             self._draw()
         detector, j, checked = self.detector, self.j, self.checked
         entries = self.scan_entries(detector)
         if 0 < entries * len(self.live) <= _SCAN_ENTRIES and checked[j]:
             steps = _SCAN_STEPS if len(self.live) >= _SCAN_THIN else 2 * _SCAN_STEPS
-            e = min(j + steps, len(checked))
+            e = min(j + steps, len(checked), j + stop - self.done)
             if not checked[j:e].all():
                 e = j + int(checked[j:e].argmin())
             maxima, self.lams = detector._scan(self.lams, self.stats[self.rows, j:e].T,
@@ -352,13 +352,12 @@ def _lockstep(detector, draw, plans: list[TrialPlan], caps: list[int], start: in
     columns are the points' spans min(window + 1, cap) below cap, ascending,
     then the whole bank, and a span's newest lags hold bit for bit the bank
     of its window. A trial alarms for a point at its first step, up to the
-    point's cap, with max(0, that max) >= b; a point still waiting at its
-    cap is censored there. The books hold one floor per (point, live trial),
-    NaN once the point has alarmed on that trial or reached its cap, so no
-    max meets it. A trial leaves the batch when the advance ends in which its
-    last floor turned NaN, and a point leaves once every floor of it has
-    (ids drops its table row), so a strict point's long trials pay for no
-    finished point's checks.
+    point's cap, with max(0, that max) >= b. The floors, one per (point,
+    live trial), are the only books: NaN once the point has alarmed on that
+    trial or reached its cap, so no max meets it. An advance ends at the
+    least cap of the points still waiting, so no row past a cap is computed,
+    and censors the points still waiting there. A trial leaves once all its
+    floors are NaN; a finished point's row stays in the table, all NaN.
     """
     cap = detector._cap
     # a statistic is 0 when every hypothesis is negative, so max(0, max) >= b is
@@ -369,29 +368,25 @@ def _lockstep(detector, draw, plans: list[TrialPlan], caps: list[int], start: in
     columns = np.array([len(narrow) if s == cap else narrow.index(s) for s in spans])
     caps = np.array(caps)
     batch = _Batch(detector, draw, plans[0], start, start + times.shape[1], int(caps.max()), narrow)
-    ids = np.arange(len(plans))  # the points some live trial waits on
-    floors = np.repeat(table[:, None], times.shape[1], axis=1)  # (point of ids, live trial)
-    # caps and floor of the table rows of ids; which is None while the points are the columns
-    point_caps, floor, next_cap = caps, table.min(), caps.min()
+    floors = np.repeat(table[:, None], times.shape[1], axis=1)  # (point, live trial)
+    # the waiting points' least floor and cap (an int: it ends a scan, and done seeds a draw)
+    floor, next_cap = table.min(), int(caps.min())
     which = None if columns.tolist() == [*range(len(narrow) + 1)] else columns
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN a point reads raises below
         while True:
             before = batch.done
-            top, maxima = batch.advance(floor)
+            top, maxima = batch.advance(floor, next_cap)
             left = False  # whether a floor turned NaN
             if not top < floor:  # a NaN top goes on
                 if which is not None:
                     maxima = maxima[:, which]  # (rows, points, T)
                 # one point: every live trial waits on it, and one floor compares fastest
-                raised, in_cap = maxima >= (floors if len(ids) > 1 else floors[:, :1]), True
-                if next_cap < batch.done:  # rows past a point's cap do not count for it
-                    in_cap = np.arange(len(maxima))[:, None, None] < (point_caps - before)[:, None]
-                    raised &= in_cap
+                raised = maxima >= (floors if len(plans) > 1 else floors[:, :1])
                 alarm = raised[0] if len(raised) == 1 else np.logical_or.reduce(raised)
                 if math.isnan(top):
                     # a NaN counts for a point that waits on the trial, up to its alarm
                     before_alarm = np.arange(len(maxima))[:, None, None] < raised.argmax(axis=0)
-                    nan = np.isnan(maxima) & in_cap & (~alarm | before_alarm) & (floors == floors)
+                    nan = np.isnan(maxima) & (~alarm | before_alarm) & (floors == floors)
                     if nan.any():
                         r = int(nan.any(axis=(1, 2)).argmax())
                         bad = int(batch.live[nan[r].any(axis=0)][0]) + start
@@ -404,29 +399,24 @@ def _lockstep(detector, draw, plans: list[TrialPlan], caps: list[int], start: in
                     if len(raised) > 1:
                         ends = ends + raised.argmax(axis=0)[point, col]
                     floors[alarm] = math.nan
-                    if len(ids) < len(plans):
-                        point = ids[point]
                     hit = batch.live[col]
                     times[point, hit], censored[point, hit] = ends, False
                     left = True
-            if batch.done >= next_cap:  # a point still waiting at its cap is censored there
-                floors[point_caps <= batch.done] = math.nan
+            if batch.done == next_cap:  # a point still waiting at its cap is censored there
+                floors[caps == next_cap] = math.nan
                 left = True
             if left:
                 waits = floors == floors  # not NaN: the point waits on the trial
-                stay = waits[0] if len(ids) == 1 else np.logical_or.reduce(waits)
+                stay = waits[0] if len(plans) == 1 else np.logical_or.reduce(waits)
                 kept = np.count_nonzero(stay)
                 if not kept:
                     return
                 if kept < len(stay):
                     batch.keep(stay)
                     floors = floors[:, stay]
-                if len(ids) > 1:
+                if len(plans) > 1:  # the least floor and cap of the points still waiting
                     waits = np.logical_or.reduce(waits, axis=1)  # a trial that left waits on none
-                    if not waits.all():
-                        ids, floors = ids[waits], floors[waits]
-                        point_caps, which = caps[ids], columns[ids]
-                        floor, next_cap = table[ids].min(), point_caps.min()
+                    floor, next_cap = table[waits].min(), int(caps[waits].min())
 
 
 def _run_chunk(plans: list[TrialPlan], start: int, stop: int, caps: list[int]):

@@ -6,7 +6,9 @@ and its floats (statistics, theta estimates, thresholds, delay means), as repr
 strings, into a second one; both are frozen in ``golden/digests.json``. A
 changed digest means a changed result. The float digest rests on the
 platform's libm as well as on this code, so it is kept apart from the
-integer one. The ``cli-*`` cases run one subcommand each through
+integer one, and ``golden/platform.txt`` records what the float digests were
+frozen under: numpy's version and the SIMD targets it dispatches to. The
+``cli-*`` cases run one subcommand each through
 ``cli.main`` and hash its stdout and the bytes of every file it writes
 except ``run_manifest.json`` (which records the wall time and versions).
 The ``cli-flags`` case hashes every subcommand's options, so a flag that is
@@ -42,6 +44,7 @@ from wlcusum.models import BetaWaveModel, DecayModel, GemModel
 from wlcusum.montecarlo import TrialPlan, estimate_add, estimate_mtfa, run_trials
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+PLATFORM = GOLDEN.with_name("platform.txt")  # the _float_platform() they were frozen under
 REPO = Path(__file__).resolve().parent.parent
 
 # each model with the window and the wl-glr grid its cases use
@@ -261,17 +264,22 @@ def _float_platform() -> str:
     return f"numpy {np.__version__}, SIMD targets found: {found or 'none'}; loops: {current}"
 
 
+def _platforms() -> str:
+    """Where the float digests were frozen and where they ran, for a failure message."""
+    return f"frozen under {PLATFORM.read_text().strip()}; this machine {_float_platform()}"
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_digests_unchanged(name, frozen, tmp_path):
     got = _compute(name, tmp_path)
     assert got["ints"] == frozen[name]["ints"], "integer outputs changed"
-    assert got["floats"] == frozen[name]["floats"], f"float outputs changed ({_float_platform()})"
+    assert got["floats"] == frozen[name]["floats"], f"float outputs changed ({_platforms()})"
 
 
 @pytest.mark.parametrize("name", CLI_CASES)
 def test_cli_outputs_unchanged(name, frozen, tmp_path):
     got = _compute(name, tmp_path)
-    assert got == frozen[name], f"outputs changed ({_float_platform()})"
+    assert got == frozen[name], f"outputs changed ({_platforms()})"
 
 
 def test_cli_flags_unchanged(frozen):
@@ -322,4 +330,5 @@ if __name__ == "__main__":
         table["cli-flags"] = _cli_flags()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} cases to {GOLDEN}")
+    PLATFORM.write_text(_float_platform() + "\n")
+    print(f"wrote {len(table)} cases to {GOLDEN}, frozen under {_float_platform()}")

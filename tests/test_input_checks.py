@@ -179,3 +179,15 @@ NON_FINITE = [
 def test_parameters_whose_llr_terms_are_not_finite_are_refused(name, build):
     with pytest.raises(ValueError, match=rf"(?s)^{name}\(.* has non-finite LLR terms \("):
         build()
+
+
+@pytest.mark.parametrize("bad", [(400.0, 2.0, 1.0), (0.5, 2.0, 1e-200)],
+                         ids=["wave-theta0", "wave-theta2"])
+def test_a_grid_point_whose_llr_terms_are_not_finite_is_refused_by_name(bad):
+    # the grid's one llr_terms call is its bank's: it refuses the grid as that point alone
+    with pytest.raises(ValueError) as alone:
+        BetaWaveModel(5.0, 5.0, bad)
+    with pytest.raises(ValueError) as in_grid:
+        WlGlr(BetaWaveModel(5.0, 5.0, (0.5, 2.0, 1.0)), 5.0, 5, np.array([(0.5, 2.0, 1.0), bad]))
+    assert str(in_grid.value) == str(alone.value)
+    assert f"theta={bad!r}" in str(in_grid.value)

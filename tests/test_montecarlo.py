@@ -403,6 +403,20 @@ class TestLockstepMatchesStreaming:
         assert steps[~thin].max() <= montecarlo._SCAN_STEPS < steps[thin].max()
         assert steps.max() <= 2 * montecarlo._SCAN_STEPS
 
+    def test_a_cap_ends_the_scan(self):
+        # the hand-picked walk "a cap inside a scan": the first point's cap of 17 ends the
+        # first scan, so no row past it is computed; trial 5 alarms at step 18 for the second
+        plans = [_plan(nu=math.inf, window=23, threshold=2.0, num_trials=12, seed=0,
+                       max_steps=cap) for cap in (17, 300)]
+        with _scans() as scans:
+            times, censored = montecarlo._run(plans)
+        assert scans[0][:2] == (17, 12)
+        for plan, row, flags in zip(plans, times, censored):
+            want = _streamed(plan)
+            np.testing.assert_array_equal(row, want[0])
+            np.testing.assert_array_equal(flags, want[1])
+        assert times[1, 5] == 18 and censored[0, 5]
+
     def test_infinite_statistic_alarms(self):
         # 1e308 overflows the older hypotheses to +inf, which meets even b = inf
         model = SpikedGem(0.1, 1e4, 0.4, spikes=((40, 1e308),))

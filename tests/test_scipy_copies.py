@@ -126,7 +126,8 @@ def _fresh(code):
 
 
 def test_fresh_process_leaves_heavy_modules_unloaded(tmp_path):
-    # what is loaded after the import, then after each run in the same process
+    # what is loaded after the import, then after each run in the same process; the
+    # import loads no scipy at all (a run loads the top-level package for its manifest)
     runs = {
         "estimate-mtfa-gem": ["estimate-mtfa", *GEM, "--alpha", "1e-2", "--window", "25",
                               "--trials", "6", "--seed", "1", "--max-steps", "300"],
@@ -136,7 +137,7 @@ def test_fresh_process_leaves_heavy_modules_unloaded(tmp_path):
     code = f"""
 import contextlib, io, json, sys, warnings
 import wlcusum, wlcusum.cli
-loaded = {{"import": {HEAVY_LOADED}}}
+loaded = {{"import": {HEAVY_LOADED}, "scipy": [m for m in sys.modules if m.startswith("scipy")]}}
 for name, argv in {runs!r}.items():
     with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # censored MTFA trials
@@ -144,7 +145,7 @@ for name, argv in {runs!r}.items():
     loaded[name] = {HEAVY_LOADED}
 print(json.dumps(loaded))
 """
-    assert json.loads(_fresh(code)) == {"import": [], **{name: [] for name in runs}}
+    assert json.loads(_fresh(code)) == {"import": [], "scipy": [], **{name: [] for name in runs}}
 
 
 def test_building_a_beta_wave_loads_scipy_special():
